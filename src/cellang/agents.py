@@ -1,14 +1,15 @@
 """Sender and receiver networks for the signaling game.
 
 The sender embeds its view of the candidates, runs a 1-D convolution with a
-sigmoid over the concatenated embeddings and maps the result to vocabulary
-logits; a Gumbel-softmax channel turns the logits into a (relaxed) symbol.
-The receiver embeds the symbol and each candidate into a shared space and
-scores candidates by dot product.
+sigmoid over the embeddings laid end to end and maps the result to
+vocabulary logits; a Gumbel-softmax channel turns the logits into a
+(relaxed) symbol. The receiver embeds the symbol and the candidates into a
+shared space and scores candidates by dot product. Each network embeds all
+of its candidate rows with one linear op on a (rows, features) matrix.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,18 +158,19 @@ def sender_forward(tape, params, cfg, inputs, mode, rng=None,
                    temperature=None, noise=None):
     """Produce a symbol over the vocabulary from the sender's view.
 
-    `inputs` holds K feature vectors (target first) or just the target,
-    depending on the game variant. Returns (symbol, logits); in EVAL_HARD
-    mode the symbol is the deterministic one-hot argmax of the logits
-    (lowest index on ties) and no noise is drawn.
+    `inputs` holds K feature rows (target first) or just the target,
+    depending on the game variant, as a matrix or a list of rows. Returns
+    (symbol, logits); in EVAL_HARD mode the symbol is the deterministic
+    one-hot argmax of the logits (lowest index on ties) and no noise is
+    drawn.
     """
     if len(inputs) != cfg.sender_inputs():
         raise ContractError(
             "sender expects %d input vectors for variant %s, got %d"
             % (cfg.sender_inputs(), cfg.variant.value, len(inputs)))
-    embeds = [ad.linear(tape, ad.as_tensor(x), params.embed_weight,
-                        params.embed_bias) for x in inputs]
-    seq = ad.reshape(tape, ad.concat(tape, embeds), (1, cfg.sender_seq_len()))
+    embeds = ad.linear(tape, Tensor(inputs), params.embed_weight,
+                       params.embed_bias)
+    seq = ad.reshape(tape, embeds, (1, cfg.sender_seq_len()))
     feature_maps = ad.sigmoid(
         tape, ad.conv1d(tape, seq, params.conv_kernels, params.conv_bias))
     flat = ad.reshape(tape, feature_maps, (cfg.flattened_conv_len(),))
@@ -183,15 +185,15 @@ def sender_forward(tape, params, cfg, inputs, mode, rng=None,
 
 
 def receiver_forward(tape, params, cfg, symbol, candidates):
-    """Log-probabilities over the K candidates given the symbol."""
+    """Log-probabilities over the K candidates given the symbol.
+
+    `candidates` is a (K, F) matrix or a list of K feature rows.
+    """
     if len(candidates) != cfg.n_concepts:
         raise ContractError("receiver expects %d candidates, got %d"
                             % (cfg.n_concepts, len(candidates)))
     sym_embed = ad.linear(tape, symbol, params.symbol_embed_weight,
                           params.symbol_embed_bias)
-    scores = []
-    for cand in candidates:
-        emb = ad.linear(tape, ad.as_tensor(cand), params.image_embed_weight,
-                        params.image_embed_bias)
-        scores.append(ad.dot(tape, sym_embed, emb))
-    return ad.log_softmax(tape, ad.concat(tape, scores))
+    embeds = ad.linear(tape, Tensor(candidates), params.image_embed_weight,
+                       params.image_embed_bias)
+    return ad.log_softmax(tape, ad.dot(tape, embeds, sym_embed))

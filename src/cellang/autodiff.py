@@ -48,10 +48,6 @@ class Tensor:
             tuple(self.data.shape), self.requires_grad)
 
 
-def as_tensor(x, requires_grad=False):
-    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=requires_grad)
-
-
 class Tape:
     """Ordered record of operations; node order is topological by construction."""
 
@@ -90,17 +86,22 @@ def backward(tape, loss):
 
 
 def linear(tape, x, weight, bias):
-    """Affine map: out[j] = sum_i weight[j, i] * x[i] + bias[j]."""
+    """Affine map of one row (in,) or of each row of (n, in):
+    x @ weight.T + bias, with weight (out, in) and bias (out,)."""
     xd, wd, bd = x.data, weight.data, bias.data
-    if xd.ndim != 1 or wd.ndim != 2 or wd.shape[1] != xd.shape[0] \
+    if xd.ndim not in (1, 2) or wd.ndim != 2 or wd.shape[1] != xd.shape[-1] \
             or bd.shape != (wd.shape[0],):
         raise DimensionError(
             "linear: weight %s / bias %s incompatible with input %s"
             % (wd.shape, bd.shape, xd.shape))
-    out = Tensor(wd @ xd + bd)
+    out = Tensor(xd @ wd.T + bd)
+    rows = xd.reshape(-1, wd.shape[1])
 
     def backward_fn(g):
-        return wd.T @ g, np.outer(g, xd), g
+        g_rows = g.reshape(-1, wd.shape[0])
+        # For a single row, einsum beats both np.outer and a k=1 matmul.
+        return (g @ wd, np.einsum("ki,kj->ij", g_rows, rows),
+                g_rows.sum(axis=0))
 
     tape.record((x, weight, bias), out, backward_fn)
     return out
@@ -173,15 +174,17 @@ def log_softmax(tape, x):
 
 
 def dot(tape, a, b):
-    """Inner product of two equal-length 1-D tensors; output is Tensor[1]."""
+    """Inner product of b (n,) with a (n,), giving Tensor[1], or with each
+    row of a (k, n), giving Tensor[k]."""
     ad, bd = a.data, b.data
-    if ad.ndim != 1 or bd.ndim != 1 or ad.shape != bd.shape:
+    if ad.ndim not in (1, 2) or bd.ndim != 1 or ad.shape[-1] != bd.shape[0]:
         raise DimensionError("dot: shapes %s and %s differ"
                              % (ad.shape, bd.shape))
-    out = Tensor([ad @ bd])
+    out = Tensor(np.atleast_1d(ad @ bd))
+    rows = ad.reshape(-1, bd.shape[0])
 
     def backward_fn(g):
-        return g[0] * bd, g[0] * ad
+        return np.outer(g, bd), g @ rows
 
     tape.record((a, b), out, backward_fn)
     return out
@@ -203,22 +206,6 @@ def nll_loss(tape, log_probs, target):
         return (gi,)
 
     tape.record((log_probs,), out, backward_fn)
-    return out
-
-
-def concat(tape, tensors):
-    """Concatenate 1-D tensors into one 1-D tensor."""
-    for t in tensors:
-        if t.data.ndim != 1:
-            raise DimensionError("concat expects 1-D tensors")
-    sizes = [t.data.shape[0] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors]))
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    tape.record(tuple(tensors), out, backward_fn)
     return out
 
 

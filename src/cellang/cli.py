@@ -22,12 +22,9 @@ from .training import (TrainConfig, evaluate, history_csv, load_checkpoint,
 
 _SPLIT_NAMES = ("train", "val", "test")
 
-# key -> (section attribute name, converter); "none" means unset for the
-# optional integer knobs.
-_INT, _FLOAT, _STR = int, float, str
-
 
 def _opt_int(s):
+    """Integer, or None for "none" (an unset optional knob)."""
     return None if s.lower() == "none" else int(s)
 
 
@@ -39,20 +36,21 @@ def _bool(s):
     raise ValueError("expected a boolean")
 
 
+# key -> converter, per config section.
 _GAME_KEYS = {
-    "n_concepts": _INT, "vocab_size": _INT, "feature_dim": _INT,
-    "embed_dim": _INT, "conv_filters": _INT, "conv_width": _INT,
-    "temperature": _FLOAT, "variant": _STR,
+    "n_concepts": int, "vocab_size": int, "feature_dim": int,
+    "embed_dim": int, "conv_filters": int, "conv_width": int,
+    "temperature": float, "variant": str,
 }
 _TRAIN_KEYS = {
-    "learning_rate": _FLOAT, "beta1": _FLOAT, "beta2": _FLOAT,
-    "epsilon": _FLOAT, "batch_episodes": _INT, "episodes_per_epoch": _opt_int,
-    "max_epochs": _INT, "early_stop_patience": _INT,
-    "temp_decay_epochs": _INT, "temp_floor": _FLOAT, "eval_episodes": _INT,
-    "seed": _INT, "init_seed": _opt_int, "episode_seed": _opt_int,
+    "learning_rate": float, "beta1": float, "beta2": float,
+    "epsilon": float, "batch_episodes": int, "episodes_per_epoch": _opt_int,
+    "max_epochs": int, "early_stop_patience": int,
+    "temp_decay_epochs": int, "temp_floor": float, "eval_episodes": int,
+    "seed": int, "init_seed": _opt_int, "episode_seed": _opt_int,
     "gumbel_seed": _opt_int, "val_seed": _opt_int,
 }
-_DATA_KEYS = {"split_seed": _INT, "standardize": _bool, "labels": _STR}
+_DATA_KEYS = {"split_seed": int, "standardize": _bool, "labels": str}
 
 
 def parse_config_text(text, source="<config>"):
@@ -132,7 +130,11 @@ def _prepare_splits(data_path, game_cfg, data_cfg):
 
 
 def cmd_gen_data(args):
-    counts = tuple(int(v) for v in args.counts.split(","))
+    try:
+        counts = tuple(int(v) for v in args.counts.split(","))
+    except ValueError:
+        raise ConfigError("--counts must be comma-separated integers, got %r"
+                          % args.counts)
     labels = tuple(args.labels.split(","))
     try:
         spec = SyntheticSpec(n_per_class=counts, labels=labels,

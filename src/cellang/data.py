@@ -3,6 +3,7 @@ a synthetic Gaussian stand-in for the private cell cohort."""
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,30 +16,33 @@ FEATURES_PER_BLOCK = 7
 
 
 @dataclass
-class CellRecord:
-    features: np.ndarray
-    label: str
-
-
-@dataclass
 class Dataset:
-    records: list
+    """One split: an (N, F) float64 feature matrix and its (N,) labels."""
+    features: np.ndarray
+    labels: np.ndarray
     concept_set: list
     standardization: tuple = None  # (mean, std) fitted on a training split
-    _index: dict = field(default=None, repr=False, compare=False)
+    _pools: tuple = field(default=None, repr=False, compare=False)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.labels)
+
+    def class_rows(self):
+        """(order, starts, sizes): row indices grouped by class in concept
+        order, table order within a class; class i owns
+        order[starts[i]:starts[i] + sizes[i]]. Cached."""
+        if self._pools is None:
+            pools = [np.flatnonzero(self.labels == c) for c in self.concept_set]
+            sizes = np.array([len(p) for p in pools], dtype=np.int64)
+            self._pools = (np.concatenate(pools), np.cumsum(sizes) - sizes,
+                           sizes)
+        return self._pools
 
     def by_label(self, label):
-        if self._index is None:
-            self._index = {c: [] for c in self.concept_set}
-            for r in self.records:
-                self._index[r.label].append(r)
-        return self._index[label]
-
-    def feature_matrix(self):
-        return np.stack([r.features for r in self.records])
+        """Row indices of one class, in table order."""
+        order, starts, sizes = self.class_rows()
+        i = self.concept_set.index(label)
+        return order[starts[i]:starts[i] + sizes[i]]
 
 
 @dataclass
@@ -86,8 +90,7 @@ def load_table(path, concepts=None, feature_dim=None):
         if feature_dim is not None and n_feat != feature_dim:
             raise DataError("%s: expected %d features, file has %d"
                             % (path, feature_dim, n_feat))
-        records = []
-        seen = []
+        values, labels, seen = array("d"), [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != n_feat + 1:
                 raise DataError("%s: row %d has %d columns, expected %d"
@@ -97,28 +100,29 @@ def load_table(path, concepts=None, feature_dim=None):
                 raise DataError("%s: row %d has unknown label %r"
                                 % (path, lineno, label))
             try:
-                feats = np.array([float(v) for v in row[1:]])
+                feats = [float(v) for v in row[1:]]
             except ValueError:
                 raise DataError("%s: row %d has a non-numeric feature"
                                 % (path, lineno))
-            if not np.all(np.isfinite(feats)):
+            if not all(math.isfinite(v) for v in feats):
                 raise DataError("%s: row %d has a non-finite feature"
                                 % (path, lineno))
             if label not in seen:
                 seen.append(label)
-            records.append(CellRecord(feats, label))
+            values.extend(feats)
+            labels.append(label)
     concept_set = list(concepts) if concepts is not None else seen
-    return Dataset(records, concept_set)
+    features = np.array(values, dtype=np.float64).reshape(len(labels), n_feat)
+    return Dataset(features, np.array(labels, dtype=str), concept_set)
 
 
 def save_table(dataset, path):
     """Write a Dataset as CSV; float repr keeps round-trips bit-exact."""
-    n_feat = dataset.records[0].features.shape[0] if dataset.records else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label"] + _feature_columns(n_feat))
-        for r in dataset.records:
-            writer.writerow([r.label] + [repr(float(v)) for v in r.features])
+        writer.writerow(["label"] + _feature_columns(dataset.features.shape[1]))
+        for label, row in zip(dataset.labels.tolist(), dataset.features):
+            writer.writerow([label] + [repr(v) for v in row.tolist()])
 
 
 def _apportion(quotas, total):
@@ -148,6 +152,8 @@ def stratified_split(dataset, fractions=(0.64, 0.16, 0.20), seed=0):
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ContractError("split fractions must sum to 1")
     counts = {c: len(dataset.by_label(c)) for c in dataset.concept_set}
+    if not counts:
+        raise DataError("dataset has no classes")
     for c, n in counts.items():
         if n < 3:
             raise DataError("class %r has only %d records; need >= 3" % (c, n))
@@ -155,29 +161,22 @@ def stratified_split(dataset, fractions=(0.64, 0.16, 0.20), seed=0):
     totals = _apportion([f * n_total for f in fractions], n_total)
     classes = dataset.concept_set
     train_c = _apportion([fractions[0] * counts[c] for c in classes], totals[0])
-    val_quotas = [fractions[1] * counts[c] for c in classes]
-    val_floors = [math.floor(q) for q in val_quotas]
     # Cap val so train + val never exceeds the class size.
-    val_c = _apportion(val_quotas, totals[1])
+    val_c = _apportion([fractions[1] * counts[c] for c in classes], totals[1])
     for i, c in enumerate(classes):
         overflow = train_c[i] + val_c[i] - counts[c]
         if overflow > 0:
             val_c[i] -= overflow
     rng = np.random.default_rng(seed)
-    splits = ([], [], [])
+    parts = ([], [], [])
     for i, c in enumerate(classes):
-        pool = dataset.by_label(c)
-        order = rng.permutation(len(pool))
+        rows = dataset.by_label(c)[rng.permutation(counts[c])]
         a, b = train_c[i], train_c[i] + val_c[i]
-        for j in order[:a]:
-            splits[0].append(pool[j])
-        for j in order[a:b]:
-            splits[1].append(pool[j])
-        for j in order[b:]:
-            splits[2].append(pool[j])
-    return tuple(Dataset(list(records), list(classes),
-                         standardization=dataset.standardization)
-                 for records in splits)
+        for part, chunk in zip(parts, (rows[:a], rows[a:b], rows[b:])):
+            part.append(chunk)
+    return tuple(Dataset(dataset.features[rows], dataset.labels[rows],
+                         list(classes), standardization=dataset.standardization)
+                 for rows in map(np.concatenate, parts))
 
 
 def standardize(train, *others):
@@ -189,19 +188,16 @@ def standardize(train, *others):
     for ds in (train,) + others:
         if ds.standardization is not None:
             raise ContractError("dataset is already standardized")
-    if not train.records:
+    if len(train) == 0:
         raise ContractError("training split is empty")
-    x = train.feature_matrix()
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    mean = train.features.mean(axis=0)
+    std = train.features.std(axis=0)
     divisor = np.where(std < 1e-12, 1.0, std)
-    out = []
-    for ds in (train,) + others:
-        records = [CellRecord((r.features - mean) / divisor, r.label)
-                   for r in ds.records]
-        out.append(Dataset(records, list(ds.concept_set),
-                           standardization=(mean.copy(), std.copy())))
-    return out[0] if not others else tuple(out)
+    out = tuple(Dataset((ds.features - mean) / divisor, ds.labels,
+                        list(ds.concept_set),
+                        standardization=(mean.copy(), std.copy()))
+                for ds in (train,) + others)
+    return out[0] if not others else out
 
 
 def generate_synthetic(spec):
@@ -209,14 +205,14 @@ def generate_synthetic(spec):
     [7c, 7c+7) by the separation delta; the final (null) class has an
     all-zero mean. Deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
-    records = []
-    for c, (label, n) in enumerate(zip(spec.labels, spec.n_per_class)):
+    blocks = []
+    for c, n in enumerate(spec.n_per_class):
         mu = np.zeros(spec.feature_dim)
         block = c * FEATURES_PER_BLOCK
         is_null = c == len(spec.labels) - 1
         if not is_null and block + FEATURES_PER_BLOCK <= spec.feature_dim:
             mu[block:block + FEATURES_PER_BLOCK] = spec.class_separation
-        samples = rng.normal(mu, spec.noise_sigma, size=(n, spec.feature_dim))
-        for row in samples:
-            records.append(CellRecord(row, label))
-    return Dataset(records, list(spec.labels))
+        blocks.append(rng.normal(mu, spec.noise_sigma,
+                                 size=(n, spec.feature_dim)))
+    labels = np.repeat(np.array(spec.labels, dtype=str), spec.n_per_class)
+    return Dataset(np.concatenate(blocks), labels, list(spec.labels))

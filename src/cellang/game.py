@@ -11,11 +11,12 @@ from .errors import ContractError, DataError
 
 @dataclass
 class Episode:
-    """K candidate records (one per concept), a target, and the order in
-    which the receiver will see the candidates."""
-    candidates: list
+    """K candidate feature rows (one per concept, in concept order), a
+    target, and the order in which the receiver will see the candidates."""
+    candidates: np.ndarray  # (K, F)
     target_index: int
     receiver_permutation: np.ndarray
+    target_label: str
 
 
 @dataclass
@@ -33,15 +34,17 @@ def sample_episode(split, cfg, rng):
     if len(split.concept_set) != cfg.n_concepts:
         raise ContractError("split has %d concepts, config expects %d"
                             % (len(split.concept_set), cfg.n_concepts))
-    candidates = []
-    for label in split.concept_set:
-        pool = split.by_label(label)
-        if not pool:
-            raise DataError("concept %r has no records in this split" % label)
-        candidates.append(pool[rng.integers(len(pool))])
+    order, starts, sizes = split.class_rows()
+    if not sizes.all():
+        raise DataError("concept %r has no records in this split"
+                        % split.concept_set[int(np.argmin(sizes))])
+    # One draw per concept, in concept order: the same stream as a scalar
+    # rng.integers(size) call per concept.
+    rows = order[starts + rng.integers(sizes)]
     target = int(rng.integers(cfg.n_concepts))
     perm = rng.permutation(cfg.n_concepts)
-    return Episode(candidates, target, perm)
+    return Episode(split.features[rows], target, perm,
+                   split.concept_set[target])
 
 
 def play_round(episode, sender, receiver, cfg, rng, mode,
@@ -54,18 +57,16 @@ def play_round(episode, sender, receiver, cfg, rng, mode,
     """
     tape = ad.Tape()
     t = episode.target_index
-    feats = [r.features for r in episode.candidates]
+    feats = episode.candidates
     if cfg.variant is Variant.SENDER_SEES_ALL:
-        order = [t] + [i for i in range(cfg.n_concepts) if i != t]
-        sender_in = [feats[i] for i in order]
+        sender_in = np.concatenate((feats[t:t + 1], feats[:t], feats[t + 1:]))
     else:
-        sender_in = [feats[t]]
+        sender_in = feats[t:t + 1]
     symbol, _logits = sender_forward(tape, sender, cfg, sender_in, mode,
                                      rng=rng, temperature=temperature,
                                      noise=noise)
     perm = episode.receiver_permutation
-    recv_in = [feats[perm[i]] for i in range(cfg.n_concepts)]
-    log_probs = receiver_forward(tape, receiver, cfg, symbol, recv_in)
+    log_probs = receiver_forward(tape, receiver, cfg, symbol, feats[perm])
     target_pos = int(np.nonzero(perm == t)[0][0])
     loss = ad.nll_loss(tape, log_probs, target_pos)
     guess = int(np.argmax(log_probs.data))
@@ -74,6 +75,6 @@ def play_round(episode, sender, receiver, cfg, rng, mode,
         receiver_guess=guess,
         correct=guess == target_pos,
         symbol_index=int(np.argmax(symbol.data)),
-        target_label=episode.candidates[t].label,
+        target_label=episode.target_label,
     )
     return outcome, tape, loss

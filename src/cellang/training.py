@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import GameConfig, Mode, init_params, named_params
+from .analysis import identification_accuracy
 from .autodiff import backward
-from .errors import CheckpointError, ContractError, ParameterError, TrainingError
+from .errors import CheckpointError, ParameterError, TrainingError
 from .game import play_round, sample_episode
 
 CHECKPOINT_VERSION = 1
@@ -36,12 +37,19 @@ class TrainConfig:
     val_seed: int = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
+        for name in ("learning_rate", "epsilon", "temp_floor"):
+            if getattr(self, name) <= 0:
+                raise ParameterError("%s must be > 0" % name)
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ParameterError("beta1/beta2 must lie in (0, 1)")
-        if self.batch_episodes < 1:
-            raise ParameterError("batch_episodes must be >= 1")
+        for name in ("batch_episodes", "max_epochs", "early_stop_patience",
+                     "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ParameterError("%s must be >= 1" % name)
+        if self.episodes_per_epoch is not None and self.episodes_per_epoch < 1:
+            raise ParameterError("episodes_per_epoch must be none or >= 1")
+        if self.temp_decay_epochs < 0:
+            raise ParameterError("temp_decay_epochs must be >= 0")
 
     def resolved_seeds(self):
         """Named RNG seeds; unset ones are derived from the master seed."""
@@ -120,12 +128,6 @@ def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
                                    None, Mode.EVAL_HARD)
         outcomes.append(outcome)
     return outcomes
-
-
-def accuracy_of(outcomes):
-    if not outcomes:
-        raise ContractError("empty outcome list")
-    return sum(o.correct for o in outcomes) / len(outcomes)
 
 
 def history_csv(history):
@@ -216,7 +218,7 @@ def train(train_split, val_split, game_cfg, train_cfg,
             state.optimizer.step(grad_scale=1.0 / batch)
         val_outcomes = evaluate(state.sender, state.receiver, val_split, cfg,
                                 tcfg.eval_episodes, state.seeds["val_seed"])
-        val_acc = accuracy_of(val_outcomes)
+        val_acc = identification_accuracy(val_outcomes)
         row = {"epoch": state.epoch, "train_loss": float(np.mean(losses)),
                "val_accuracy": val_acc, "temperature": tau}
         state.history.append(row)
@@ -301,6 +303,15 @@ def load_checkpoint(path):
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError("unsupported checkpoint version %r"
                               % meta.get("version"))
+    try:
+        return _restore_state(meta, arrays)
+    except KeyError as exc:
+        raise CheckpointError("checkpoint %s is missing %s" % (path, exc))
+
+
+def _restore_state(meta, arrays):
+    """TrainState from checkpoint meta and arrays; KeyError if one lacks a
+    key."""
     game_cfg = GameConfig.from_dict(meta["game_cfg"])
     train_cfg = TrainConfig.from_dict(meta["train_cfg"])
     state = TrainState(game_cfg, train_cfg, meta["episodes_per_epoch"],
@@ -317,10 +328,7 @@ def load_checkpoint(path):
     opt_state = {"step": meta["adam_step"],
                  "m": {k: arrays["adam_m/" + k] for k in state.optimizer.m},
                  "v": {k: arrays["adam_v/" + k] for k in state.optimizer.v}}
-    try:
-        state.optimizer.load_state_dict(opt_state)
-    except KeyError as exc:
-        raise CheckpointError("checkpoint is missing optimizer state %s" % exc)
+    state.optimizer.load_state_dict(opt_state)
     state.episode_rng = _rng_from_state(meta["episode_rng"])
     state.gumbel_rng = _rng_from_state(meta["gumbel_rng"])
     state.epoch = meta["epoch"]

@@ -11,14 +11,14 @@ import pytest
 from cellang import autodiff as ad
 from cellang.agents import GameConfig, Mode, init_params, named_params
 from cellang.analysis import (ContingencyTable, build_report,
-                              majority_symbols, mutual_information_bits,
-                              symbols_used_fraction)
+                              identification_accuracy, majority_symbols,
+                              mutual_information_bits, symbols_used_fraction)
 from cellang.autodiff import Tape, Tensor, backward
 from cellang.cli import main
 from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, SyntheticSpec,
                           generate_synthetic, standardize, stratified_split)
 from cellang.game import play_round, sample_episode
-from cellang.training import TrainConfig, accuracy_of, evaluate, train
+from cellang.training import TrainConfig, evaluate, train
 
 import conftest
 from conftest import grads_close, numerical_grad
@@ -55,7 +55,8 @@ def trained_runs(delta5_splits):
                                         TrainConfig(seed=seed))
             elapsed = time.monotonic() - t0
             outcomes = evaluate(sender, receiver, test_s, cfg, 1000, seed=100)
-            cache[(variant, seed)] = (accuracy_of(outcomes), outcomes, elapsed)
+            cache[(variant, seed)] = (identification_accuracy(outcomes),
+                                      outcomes, elapsed)
         return cache[(variant, seed)]
 
     return run
@@ -89,6 +90,23 @@ def test_criterion_1_gradient_correctness(small_cfg):
                       Tensor(probe5))
         backward(tape, loss)
         ok &= close(xt.grad, x0, f_lin)
+
+        # linear on a (4, 3) row stack, scored by a (4, 5) x (5,) dot
+        xs0 = rng.normal(size=(4, 3))
+        probe4 = rng.normal(size=4)
+
+        def f_rows(x, probe):
+            tape = Tape()
+            scores = ad.dot(tape, ad.linear(tape, x, Tensor(w), Tensor(b)),
+                            probe)
+            return tape, ad.dot(tape, scores, Tensor(probe4))
+
+        xt, pt = Tensor(xs0), Tensor(probe5)
+        backward(*f_rows(xt, pt))
+        ok &= close(xt.grad, xs0, lambda x: float(
+            f_rows(Tensor(x), Tensor(probe5))[1].data[0]))
+        ok &= close(pt.grad, probe5, lambda p: float(
+            f_rows(Tensor(xs0), Tensor(p))[1].data[0]))
 
         # conv1d
         xc0 = rng.normal(size=(2, 7))
@@ -212,7 +230,8 @@ def test_criterion_3_chance_baseline(delta5_splits):
     _, _, test_s = delta5_splits
     cfg = GameConfig()
     sender, receiver = init_params(cfg, 0)
-    acc = accuracy_of(evaluate(sender, receiver, test_s, cfg, 1000, seed=0))
+    acc = identification_accuracy(
+        evaluate(sender, receiver, test_s, cfg, 1000, seed=0))
     ok = 0.16 <= acc <= 0.24
     verdict(3, "chance-baseline", ok, "untrained accuracy %.3f" % acc)
 
@@ -261,9 +280,10 @@ def test_criterion_7_split_fidelity():
     train_s, val_s, test_s = stratified_split(dataset, seed=0)
     cd3 = tuple(len(s.by_label("CD3")) for s in (train_s, val_s, test_s))
     total = sum(len(s) for s in (train_s, val_s, test_s))
-    ids = {id(r) for s in (train_s, val_s, test_s) for r in s.records}
+    rows = np.concatenate([s.features for s in (train_s, val_s, test_s)])
+    distinct = len(np.unique(rows, axis=0))
     ok = cd3 == (88, 22, 28)
-    ok &= total == 4125 and len(ids) == 4125
+    ok &= total == 4125 and distinct == 4125
     ok &= len(test_s) == 825
     verdict(7, "split-fidelity", ok,
             "CD3 %s, test total %d" % (cd3, len(test_s)))
@@ -380,7 +400,7 @@ def test_criterion_10_null_control():
     cfg = GameConfig()
     sender, receiver, _ = train(train_s, val_s, cfg, TrainConfig(seed=0))
     outcomes = evaluate(sender, receiver, test_s, cfg, 1000, seed=5)
-    acc = accuracy_of(outcomes)
+    acc = identification_accuracy(outcomes)
     report = build_report(outcomes, list(DEFAULT_LABELS), 100)
     ok = 0.14 <= acc <= 0.28
     # Note: class-symbol mutual information stays near zero here even when

@@ -27,22 +27,25 @@ class TestLinear:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            w = rng.normal(size=(8, 4))
-            b = rng.normal(size=8)
-            x0 = rng.normal(size=4)
+        # One row (4,) and a stack of rows (3, 4).
+        for shape in [(4,)] * 10 + [(3, 4)] * 10:
+            w0 = rng.normal(size=(8, 4))
+            b0 = rng.normal(size=8)
+            x0 = rng.normal(size=shape)
 
-            def f(x):
+            def run(x, w, b):
                 tape = Tape()
-                out = ad.linear(tape, t(x), t(w), t(b))
-                return float(ad.dot(tape, out, out).data[0])
+                flat = ad.reshape(tape, ad.linear(tape, x, w, b), (-1,))
+                return tape, ad.dot(tape, flat, flat)
 
-            tape = Tape()
-            xt = t(x0)
-            out = ad.linear(tape, xt, t(w), t(b))
-            loss = ad.dot(tape, out, out)
-            backward(tape, loss)
-            assert grads_close(xt.grad, numerical_grad(f, x0))
+            xt, wt, bt = t(x0), t(w0), t(b0)
+            backward(*run(xt, wt, bt))
+            assert grads_close(xt.grad, numerical_grad(
+                lambda x: float(run(t(x), t(w0), t(b0))[1].data[0]), x0))
+            assert grads_close(wt.grad, numerical_grad(
+                lambda w: float(run(t(x0), t(w), t(b0))[1].data[0]), w0))
+            assert grads_close(bt.grad, numerical_grad(
+                lambda b: float(run(t(x0), t(w0), t(b))[1].data[0]), b0))
 
 
 class TestConv1d:
@@ -170,6 +173,8 @@ class TestLogSoftmax:
 class TestDot:
     def test_basic(self):
         assert ad.dot(Tape(), t([1, 2, 3]), t([4, 5, 6])).data[0] == 32
+        out = ad.dot(Tape(), t([[1, 2, 3], [0, 1, 0]]), t([4, 5, 6]))
+        assert np.array_equal(out.data, [32, 5])
 
     def test_zero(self):
         assert ad.dot(Tape(), t([1, 2]), t([0, 0])).data[0] == 0
@@ -177,6 +182,8 @@ class TestDot:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             ad.dot(Tape(), t([1, 2]), t([1, 2, 3]))
+        with pytest.raises(DimensionError):
+            ad.dot(Tape(), t([[1, 2]]), t([1, 2, 3]))
 
     def test_gradient_is_other_operand(self):
         tape = Tape()
@@ -184,6 +191,14 @@ class TestDot:
         backward(tape, ad.dot(tape, a, b))
         assert np.array_equal(a.grad, b.data)
         assert np.array_equal(b.grad, a.data)
+        # (k, n) rows against (n,): each row's gradient is b, b's is the
+        # sum of the rows (the loss sums the k outputs).
+        tape = Tape()
+        rows, b = t([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]]), t([3.0, -4.0])
+        out = ad.dot(tape, rows, b)
+        backward(tape, ad.dot(tape, out, t(np.ones(3))))
+        assert np.array_equal(rows.grad, np.tile(b.data, (3, 1)))
+        assert np.array_equal(b.grad, rows.data.sum(axis=0))
 
 
 class TestNllLoss:
@@ -283,10 +298,10 @@ class TestBackward:
         x = t([1.0, 2.0], requires_grad=True)
         a = ad.dot(tape, x, x)
         b = ad.dot(tape, x, x)
-        total = ad.concat(tape, [a, b])
-        loss = ad.dot(tape, total, t([1.0, 1.0]))
+        loss = ad.dot(tape, a, b)
         backward(tape, loss)
-        assert np.array_equal(x.grad, [4.0, 8.0])
+        # d/dx (x.x)^2 = 4 (x.x) x, summed over four uses of x
+        assert np.array_equal(x.grad, [20.0, 40.0])
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):

@@ -79,19 +79,19 @@ class TestGenData:
               "--feature-dim", "6", "--delta", "0", "--out", str(out)])
         from cellang.data import load_table
         ds = load_table(out)
-        x = ds.feature_matrix()
-        labels = np.array([r.label for r in ds.records])
-        centroids = {c: x[labels == c].mean(axis=0) for c in ds.concept_set}
+        centroids = {c: ds.features[ds.labels == c].mean(axis=0)
+                     for c in ds.concept_set}
         correct = sum(
-            min(centroids,
-                key=lambda c: np.sum((r.features - centroids[c]) ** 2))
-            == r.label for r in ds.records)
+            min(centroids, key=lambda c: np.sum((row - centroids[c]) ** 2))
+            == label for row, label in zip(ds.features, ds.labels))
         assert abs(correct / len(ds) - 1 / 3) < 0.1
 
-    def test_invalid_counts_usage_error(self, tmp_path):
-        code = main(["gen-data", "--counts", "0,5", "--labels", "a,b",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 1
+    def test_invalid_counts_usage_error(self, tmp_path, capsys):
+        for counts in ("0,5", "3,x"):
+            code = main(["gen-data", "--counts", counts, "--labels", "a,b",
+                         "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert "config error:" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -119,6 +119,16 @@ class TestTrain:
         main(GEN_ARGS + ["--out", str(data)])
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_out_of_range_train_key_exit_code(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG.replace("episodes_per_epoch=40",
+                                           "episodes_per_epoch=0"))
+        data = tmp_path / "d.csv"
+        main(GEN_ARGS + ["--out", str(data)])
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o" / "history.csv").exists()
 
     def test_missing_data_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, CellRecord, Dataset,
+from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, Dataset,
                           SyntheticSpec, generate_synthetic, load_table,
                           save_table, standardize, stratified_split)
 from cellang.errors import ContractError, DataError
@@ -9,11 +9,8 @@ from cellang.errors import ContractError, DataError
 
 def make_dataset(counts, labels, seed=0, dim=4):
     rng = np.random.default_rng(seed)
-    records = []
-    for label, n in zip(labels, counts):
-        for _ in range(n):
-            records.append(CellRecord(rng.normal(size=dim), label))
-    return Dataset(records, list(labels))
+    return Dataset(rng.normal(size=(sum(counts), dim)),
+                   np.repeat(np.array(labels, dtype=str), counts), list(labels))
 
 
 class TestLoadTable:
@@ -23,7 +20,8 @@ class TestLoadTable:
         ds = load_table(path)
         assert len(ds) == 3
         assert ds.concept_set == ["a", "b"]
-        assert np.array_equal(ds.records[1].features, [3.5, -1.0])
+        assert np.array_equal(ds.features[1], [3.5, -1.0])
+        assert list(ds.labels) == ["a", "b", "a"]
 
     def test_nan_feature_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -60,9 +58,8 @@ class TestLoadTable:
         path = tmp_path / "rt.csv"
         save_table(ds, path)
         back = load_table(path)
-        for orig, rec in zip(ds.records, back.records):
-            assert orig.label == rec.label
-            assert np.array_equal(orig.features, rec.features)
+        assert np.array_equal(ds.labels, back.labels)
+        assert np.array_equal(ds.features, back.features)
 
 
 class TestStratifiedSplit:
@@ -81,17 +78,19 @@ class TestStratifiedSplit:
     def test_partition_is_disjoint_and_exhaustive(self):
         ds = make_dataset(DEFAULT_COUNTS, DEFAULT_LABELS)
         train, val, test = stratified_split(ds, seed=3)
-        ids = [id(r) for split in (train, val, test) for r in split.records]
-        assert len(ids) == 4125
-        assert len(set(ids)) == 4125
+        rows = np.concatenate([s.features for s in (train, val, test)])
+        assert len(rows) == 4125
+        assert len(np.unique(rows, axis=0)) == 4125
+        assert np.array_equal(np.unique(rows, axis=0),
+                              np.unique(ds.features, axis=0))
 
     def test_seed_controls_membership_not_counts(self):
         ds = make_dataset((20, 30), ("a", "b"))
         t0a, v0a, s0a = stratified_split(ds, seed=0)
         t0b, _, _ = stratified_split(ds, seed=0)
         t1, v1, s1 = stratified_split(ds, seed=1)
-        assert [id(r) for r in t0a.records] == [id(r) for r in t0b.records]
-        assert [id(r) for r in t0a.records] != [id(r) for r in t1.records]
+        assert np.array_equal(t0a.features, t0b.features)
+        assert not np.array_equal(t0a.features, t1.features)
         assert (len(t0a), len(v0a), len(s0a)) == (len(t1), len(v1), len(s1))
 
     def test_small_class_rejected(self):
@@ -110,16 +109,15 @@ class TestStandardize:
         ds = make_dataset((40, 40), ("a", "b"), seed=2)
         train, val, _ = stratified_split(ds, seed=0)
         strain, sval = standardize(train, val)
-        x = strain.feature_matrix()
+        x = strain.features
         assert np.all(np.abs(x.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(x.std(axis=0) - 1) < 1e-10)
 
     def test_constant_feature_centered_only(self):
-        records = [CellRecord(np.array([3.0, float(i)]), "a")
-                   for i in range(10)]
-        ds = Dataset(records, ["a"])
+        features = np.stack([np.full(10, 3.0), np.arange(10.0)], axis=1)
+        ds = Dataset(features, np.array(["a"] * 10), ["a"])
         out = standardize(ds)
-        x = out.feature_matrix()
+        x = out.features
         assert np.all(x[:, 0] == 0.0)
 
     def test_double_standardize_forbidden(self):
@@ -133,8 +131,8 @@ class TestStandardize:
                              class_separation=5.0)
         train, val, _ = stratified_split(generate_synthetic(spec), seed=0)
         strain, _ = standardize(train, val)
-        train_mean = train.feature_matrix().mean(axis=0)
-        val_mean = val.feature_matrix().mean(axis=0)
+        train_mean = train.features.mean(axis=0)
+        val_mean = val.features.mean(axis=0)
         assert not np.allclose(train_mean, val_mean)
         assert np.array_equal(strain.standardization[0], train_mean)
 
@@ -144,9 +142,8 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(n_per_class=(5, 5, 5, 5, 10), seed=11)
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.label == rb.label
-            assert np.array_equal(ra.features, rb.features)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.features, b.features)
 
     def test_default_counts_match_cohort(self):
         ds = generate_synthetic(SyntheticSpec(n_per_class=DEFAULT_COUNTS))
@@ -157,26 +154,22 @@ class TestGenerateSynthetic:
         spec = SyntheticSpec(n_per_class=(200,) * 5, class_separation=5.0,
                              noise_sigma=1.0, seed=0)
         ds = generate_synthetic(spec)
-        x = ds.feature_matrix()
-        labels = [r.label for r in ds.records]
-        centroids = {c: x[[i for i, l in enumerate(labels) if l == c]].mean(axis=0)
+        centroids = {c: ds.features[ds.by_label(c)].mean(axis=0)
                      for c in ds.concept_set}
         fresh = generate_synthetic(SyntheticSpec(
             n_per_class=(200,) * 5, class_separation=5.0, noise_sigma=1.0,
             seed=99))
         correct = 0
-        for r in fresh.records:
+        for row, label in zip(fresh.features, fresh.labels):
             guess = min(centroids,
-                        key=lambda c: np.sum((r.features - centroids[c]) ** 2))
-            correct += guess == r.label
+                        key=lambda c: np.sum((row - centroids[c]) ** 2))
+            correct += guess == label
         assert correct / len(fresh) >= 0.99
 
     def test_delta_zero_classes_indistinguishable(self):
         ds = generate_synthetic(SyntheticSpec(
             n_per_class=(500,) * 5, class_separation=0.0, seed=1))
-        x = ds.feature_matrix()
-        labels = np.array([r.label for r in ds.records])
-        means = np.stack([x[labels == c].mean(axis=0)
+        means = np.stack([ds.features[ds.labels == c].mean(axis=0)
                           for c in ds.concept_set])
         # All class means sit near the origin relative to the noise scale.
         assert np.all(np.abs(means) < 0.2)

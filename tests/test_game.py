@@ -4,7 +4,7 @@ import pytest
 from cellang.agents import GameConfig, Mode, init_params
 from cellang.data import Dataset, SyntheticSpec, generate_synthetic
 from cellang.errors import ContractError, DataError
-from cellang.game import Episode, play_round, sample_episode
+from cellang.game import play_round, sample_episode
 
 
 @pytest.fixture
@@ -14,13 +14,20 @@ def split3(small_cfg):
     return generate_synthetic(spec)
 
 
+def label_of(split, row):
+    """Label of the split's record with these features."""
+    return split.labels[np.flatnonzero((split.features == row).all(axis=1))[0]]
+
+
 class TestSampleEpisode:
     def test_one_candidate_per_concept(self, small_cfg, split3):
         rng = np.random.default_rng(0)
         for _ in range(20):
             ep = sample_episode(split3, small_cfg, rng)
-            assert sorted(r.label for r in ep.candidates) == ["a", "b", "c"]
+            assert [label_of(split3, row) for row in ep.candidates] == \
+                ["a", "b", "c"]
             assert 0 <= ep.target_index < 3
+            assert ep.target_label == ["a", "b", "c"][ep.target_index]
             assert sorted(ep.receiver_permutation) == [0, 1, 2]
 
     def test_target_index_uniform(self, small_cfg, split3):
@@ -35,11 +42,23 @@ class TestSampleEpisode:
         b = sample_episode(split3, small_cfg, np.random.default_rng(7))
         assert a.target_index == b.target_index
         assert np.array_equal(a.receiver_permutation, b.receiver_permutation)
-        for ra, rb in zip(a.candidates, b.candidates):
-            assert np.array_equal(ra.features, rb.features)
+        assert np.array_equal(a.candidates, b.candidates)
+
+    def test_draws_match_one_scalar_draw_per_concept(self, small_cfg, split3):
+        # Reference: the per-concept loop the vectorized draw replaced.
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(200):
+            ep = sample_episode(split3, small_cfg, rng)
+            rows = [split3.by_label(c)[ref.integers(len(split3.by_label(c)))]
+                    for c in split3.concept_set]
+            assert np.array_equal(ep.candidates, split3.features[rows])
+            assert ep.target_index == ref.integers(small_cfg.n_concepts)
+            assert np.array_equal(ep.receiver_permutation,
+                                  ref.permutation(small_cfg.n_concepts))
 
     def test_empty_concept_names_it(self, small_cfg, split3):
-        empty = Dataset([r for r in split3.records if r.label != "b"],
+        keep = split3.labels != "b"
+        empty = Dataset(split3.features[keep], split3.labels[keep],
                         ["a", "b", "c"])
         with pytest.raises(DataError, match="'b'"):
             sample_episode(empty, small_cfg, np.random.default_rng(0))
@@ -100,4 +119,17 @@ class TestPlayRound:
             target_pos = int(np.nonzero(
                 ep.receiver_permutation == ep.target_index)[0][0])
             assert outcome.correct == (outcome.receiver_guess == target_pos)
-            assert outcome.target_label == ep.candidates[ep.target_index].label
+            assert outcome.target_label == \
+                label_of(split3, ep.candidates[ep.target_index])
+
+    def test_round_records_twelve_tape_nodes(self, split3):
+        for variant in ("sender-sees-all", "sender-sees-target"):
+            cfg = GameConfig(n_concepts=3, vocab_size=8, feature_dim=6,
+                             embed_dim=4, conv_filters=3, conv_width=2,
+                             variant=variant)
+            rng = np.random.default_rng(6)
+            sender, receiver = init_params(cfg, 0)
+            ep = sample_episode(split3, cfg, rng)
+            _, tape, _ = play_round(ep, sender, receiver, cfg, rng,
+                                    Mode.TRAIN_SOFT)
+            assert len(tape.nodes) == 12, variant

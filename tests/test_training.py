@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from cellang.agents import GameConfig, init_params, named_params
+from cellang.analysis import identification_accuracy
 from cellang.autodiff import Tensor
 from cellang.data import SyntheticSpec, generate_synthetic, standardize, stratified_split
-from cellang.errors import CheckpointError, TrainingError
-from cellang.training import (Adam, TrainConfig, TrainState, accuracy_of,
-                              evaluate, history_csv, load_checkpoint,
-                              save_checkpoint, train)
+from cellang.errors import CheckpointError, ParameterError, TrainingError
+from cellang.training import (Adam, TrainConfig, TrainState, evaluate,
+                              history_csv, load_checkpoint, save_checkpoint,
+                              train)
 
 
 @pytest.fixture
@@ -110,9 +113,9 @@ class TestTrainLoop:
         tcfg = tiny_train_cfg(max_epochs=5)
         sender, receiver, history = train(train_s, val_s, cfg, tcfg)
         best = max(row["val_accuracy"] for row in history)
-        acc = accuracy_of(evaluate(sender, receiver, val_s, cfg,
-                                   tcfg.eval_episodes,
-                                   tcfg.resolved_seeds()["val_seed"]))
+        acc = identification_accuracy(evaluate(
+            sender, receiver, val_s, cfg, tcfg.eval_episodes,
+            tcfg.resolved_seeds()["val_seed"]))
         assert acc == best
 
     def test_temperature_schedule(self):
@@ -160,11 +163,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_missing_meta_key_rejected(self, tiny_setup, tmp_path):
+        cfg, train_s, val_s, _ = tiny_setup
+        path = tmp_path / "ck.npz"
+        train(train_s, val_s, cfg, tiny_train_cfg(max_epochs=1),
+              checkpoint_path=path)
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
+        del meta["seeds"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                       dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="seeds"):
+            load_checkpoint(path)
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("field, value", [
+        ("episodes_per_epoch", 0), ("max_epochs", 0), ("max_epochs", -3),
+        ("early_stop_patience", 0), ("eval_episodes", 0),
+        ("temp_decay_epochs", -1), ("temp_floor", 0.0), ("epsilon", 0.0),
+        ("batch_episodes", 0), ("learning_rate", -1e-3),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(episodes_per_epoch=1, max_epochs=1, early_stop_patience=1,
+                    eval_episodes=1, temp_decay_epochs=0)
 
 
 class TestSeeds:
