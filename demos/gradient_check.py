@@ -36,7 +36,7 @@ def main():
 
     tape, loss = round_loss(episode, sender, receiver, cfg, noise)
     backward(tape, loss)
-    print("round loss: %.6f" % loss.data)
+    print("round loss: %.6f" % loss.data[0])
 
     eps = 1e-6
     worst = 0.0
@@ -49,7 +49,7 @@ def main():
         flat[idx] = orig - eps
         _, lm = round_loss(episode, sender, receiver, cfg, noise)
         flat[idx] = orig
-        numeric = (lp.data - lm.data) / (2 * eps)
+        numeric = (lp.data[0] - lm.data[0]) / (2 * eps)
         analytic = p.grad.reshape(-1)[idx]
         err = abs(numeric - analytic) / max(1.0, abs(numeric))
         worst = max(worst, err)

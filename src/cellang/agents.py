@@ -9,7 +9,8 @@ of its candidate rows with one linear op on a (rows, features) matrix.
 """
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,8 +29,27 @@ class Mode(enum.Enum):
     EVAL_HARD = "eval-hard"
 
 
+class ConfigFields:
+    """`to_dict`/`from_dict` over a config dataclass's fields, which must
+    all be finite; `from_dict` requires every field."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError("%s must be finite" % f.name)
+
+    def to_dict(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        """KeyError names the first field `d` lacks."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
 @dataclass
-class GameConfig:
+class GameConfig(ConfigFields):
     n_concepts: int = 5
     vocab_size: int = 100
     feature_dim: int = 28
@@ -42,6 +62,7 @@ class GameConfig:
     def __post_init__(self):
         if isinstance(self.variant, str):
             self.variant = Variant(self.variant)
+        super().__post_init__()
         for name in ("n_concepts", "vocab_size", "feature_dim", "embed_dim",
                      "conv_filters", "conv_width"):
             if getattr(self, name) < 1:
@@ -69,19 +90,25 @@ class GameConfig:
         return self.conv_filters * self.conv_out_len()
 
     def to_dict(self):
-        d = {f: getattr(self, f) for f in (
-            "n_concepts", "vocab_size", "feature_dim", "embed_dim",
-            "conv_filters", "conv_width", "temperature")}
-        d["variant"] = self.variant.value
-        return d
+        return dict(super().to_dict(), variant=self.variant.value)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+
+class ParamSet:
+    """`named()`/`copy()` over a parameter dataclass's Tensor fields; names
+    are the subclass's PREFIX + field name."""
+
+    def named(self):
+        return {self.PREFIX + f.name: getattr(self, f.name)
+                for f in fields(self)}
+
+    def copy(self):
+        return type(self)(**{f.name: getattr(self, f.name).copy()
+                             for f in fields(self)})
 
 
 @dataclass
-class SenderParams:
+class SenderParams(ParamSet):
+    PREFIX = "sender."
     embed_weight: Tensor
     embed_bias: Tensor
     conv_kernels: Tensor
@@ -89,37 +116,18 @@ class SenderParams:
     out_weight: Tensor
     out_bias: Tensor
 
-    def named(self):
-        return {"sender." + k: getattr(self, k) for k in (
-            "embed_weight", "embed_bias", "conv_kernels", "conv_bias",
-            "out_weight", "out_bias")}
-
-    def copy(self):
-        return SenderParams(**{k.split(".", 1)[1]: t.copy()
-                               for k, t in self.named().items()})
-
 
 @dataclass
-class ReceiverParams:
+class ReceiverParams(ParamSet):
+    PREFIX = "receiver."
     image_embed_weight: Tensor
     image_embed_bias: Tensor
     symbol_embed_weight: Tensor
     symbol_embed_bias: Tensor
 
-    def named(self):
-        return {"receiver." + k: getattr(self, k) for k in (
-            "image_embed_weight", "image_embed_bias",
-            "symbol_embed_weight", "symbol_embed_bias")}
-
-    def copy(self):
-        return ReceiverParams(**{k.split(".", 1)[1]: t.copy()
-                                 for k, t in self.named().items()})
-
 
 def named_params(sender, receiver):
-    d = dict(sender.named())
-    d.update(receiver.named())
-    return d
+    return {**sender.named(), **receiver.named()}
 
 
 def _glorot(rng, shape, fan_in, fan_out):

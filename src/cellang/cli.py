@@ -7,6 +7,7 @@ that reproduces the run bit-exactly when fed back as the config.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -18,7 +19,7 @@ from .data import (DEFAULT_COUNTS, DEFAULT_LABELS, SyntheticSpec,
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DimensionError, ParameterError, TrainingError)
 from .training import (TrainConfig, evaluate, history_csv, load_checkpoint,
-                       train)
+                       run_config, train)
 
 _SPLIT_NAMES = ("train", "val", "test")
 
@@ -36,20 +37,16 @@ def _bool(s):
     raise ValueError("expected a boolean")
 
 
+def _converters(config_cls):
+    """key -> converter for a config dataclass: the type of the field's
+    default, or _opt_int when the default is None."""
+    return {f.name: _opt_int if f.default is None else type(f.default)
+            for f in fields(config_cls)}
+
+
 # key -> converter, per config section.
-_GAME_KEYS = {
-    "n_concepts": int, "vocab_size": int, "feature_dim": int,
-    "embed_dim": int, "conv_filters": int, "conv_width": int,
-    "temperature": float, "variant": str,
-}
-_TRAIN_KEYS = {
-    "learning_rate": float, "beta1": float, "beta2": float,
-    "epsilon": float, "batch_episodes": int, "episodes_per_epoch": _opt_int,
-    "max_epochs": int, "early_stop_patience": int,
-    "temp_decay_epochs": int, "temp_floor": float, "eval_episodes": int,
-    "seed": int, "init_seed": _opt_int, "episode_seed": _opt_int,
-    "gumbel_seed": _opt_int, "val_seed": _opt_int,
-}
+_GAME_KEYS = _converters(GameConfig)
+_TRAIN_KEYS = _converters(TrainConfig)
 _DATA_KEYS = {"split_seed": int, "standardize": _bool, "labels": str}
 
 
@@ -89,7 +86,7 @@ def resolve_configs(kv, source="<config>"):
     try:
         game_cfg = GameConfig(**game_kv)
         train_cfg = TrainConfig(**train_kv)
-    except (ParameterError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("%s: %s" % (source, exc))
     data_cfg = {"split_seed": data_kv.get("split_seed", 0),
                 "standardize": data_kv.get("standardize", True),
@@ -99,13 +96,8 @@ def resolve_configs(kv, source="<config>"):
 
 
 def _manifest_lines(game_cfg, train_cfg, data_cfg):
-    lines = []
-    for key, value in game_cfg.to_dict().items():
-        lines.append("game.%s=%s" % (key, value))
-    resolved = dict(train_cfg.to_dict())
-    resolved.update(train_cfg.resolved_seeds())
-    for key, value in resolved.items():
-        lines.append("train.%s=%s" % (key, "none" if value is None else value))
+    lines = ["%s=%s" % (key, "none" if value is None else value)
+             for key, value in run_config(game_cfg, train_cfg).items()]
     lines.append("data.split_seed=%d" % data_cfg["split_seed"])
     lines.append("data.standardize=%s" % str(data_cfg["standardize"]).lower())
     if data_cfg["labels"]:
@@ -185,6 +177,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if args.episodes < 1:
+        raise ConfigError("--episodes must be >= 1, got %d" % args.episodes)
     state = load_checkpoint(args.checkpoint)
     game_cfg = state.game_cfg
     data_cfg = state.extra_meta.get("data")

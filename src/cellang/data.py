@@ -59,10 +59,12 @@ class SyntheticSpec:
             raise DataError("n_per_class and labels lengths differ")
         if any(n < 1 for n in self.n_per_class):
             raise DataError("all class counts must be positive")
-        if self.noise_sigma <= 0:
-            raise DataError("noise_sigma must be > 0")
-        if self.class_separation < 0:
-            raise DataError("class_separation must be >= 0")
+        if not 0 < self.noise_sigma < math.inf:
+            raise DataError("noise_sigma must be finite and > 0")
+        if not 0 <= self.class_separation < math.inf:
+            raise DataError("class_separation must be finite and >= 0")
+        if self.feature_dim < 1:
+            raise DataError("feature_dim must be >= 1")
 
 
 def _feature_columns(n):

@@ -7,18 +7,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import GameConfig, Mode, init_params, named_params
+from .agents import ConfigFields, GameConfig, Mode, init_params, named_params
 from .analysis import identification_accuracy
 from .autodiff import backward
-from .errors import CheckpointError, ParameterError, TrainingError
+from .errors import (CheckpointError, ConfigError, ParameterError,
+                     TrainingError)
 from .game import play_round, sample_episode
 
 CHECKPOINT_VERSION = 1
 HISTORY_HEADER = "epoch,train_loss,val_accuracy,temperature"
+# The config keys a resumed run may change: they only decide when it stops.
+RESUMABLE_KEYS = ("train.max_epochs", "train.early_stop_patience")
+# TrainState attributes stored as they are in checkpoint meta.
+_STATE_META = ("seeds", "epoch", "history", "best_val_accuracy",
+               "stale_epochs", "episodes_per_epoch")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigFields):
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -37,6 +43,7 @@ class TrainConfig:
     val_seed: int = None
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("learning_rate", "epsilon", "temp_floor"):
             if getattr(self, name) <= 0:
                 raise ParameterError("%s must be > 0" % name)
@@ -64,16 +71,14 @@ class TrainConfig:
         frac = min(epoch / self.temp_decay_epochs, 1.0)
         return max(self.temp_floor, start - (start - self.temp_floor) * frac)
 
-    def to_dict(self):
-        return {f: getattr(self, f) for f in (
-            "learning_rate", "beta1", "beta2", "epsilon", "batch_episodes",
-            "episodes_per_epoch", "max_epochs", "early_stop_patience",
-            "temp_decay_epochs", "temp_floor", "eval_episodes", "seed",
-            "init_seed", "episode_seed", "gumbel_seed", "val_seed")}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+def run_config(game_cfg, train_cfg):
+    """A run's configuration as flat `section.key` -> value, with the
+    resolved seeds: what a manifest records."""
+    items = {"game." + k: v for k, v in game_cfg.to_dict().items()}
+    train_items = dict(train_cfg.to_dict(), **train_cfg.resolved_seeds())
+    items.update(("train." + k, v) for k, v in train_items.items())
+    return items
 
 
 class Adam:
@@ -106,17 +111,6 @@ class Adam:
             v_hat = self.v[k] / (1 - c.beta2 ** t)
             p.data -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
 
-    def state_dict(self):
-        return {"step": self.step_count,
-                "m": {k: v.copy() for k, v in self.m.items()},
-                "v": {k: v.copy() for k, v in self.v.items()}}
-
-    def load_state_dict(self, state):
-        self.step_count = state["step"]
-        for k in self.m:
-            self.m[k] = state["m"][k].copy()
-            self.v[k] = state["v"][k].copy()
-
 
 def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
     """Play n_episodes deterministic (hard-symbol) rounds; returns outcomes."""
@@ -136,16 +130,6 @@ def history_csv(history):
         lines.append("%d,%r,%r,%r" % (row["epoch"], row["train_loss"],
                                       row["val_accuracy"], row["temperature"]))
     return "\n".join(lines) + "\n"
-
-
-def _rng_state(rng):
-    return rng.bit_generator.state
-
-
-def _rng_from_state(state):
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
 
 
 class TrainState:
@@ -184,13 +168,20 @@ def train(train_split, val_split, game_cfg, train_cfg,
     Keeps the parameters with the best validation accuracy (hard-symbol
     evaluation); stops at max_epochs or after early_stop_patience epochs
     without improvement. Returns (best sender, best receiver, history).
+    A resumed run must keep the checkpoint's configuration, except for
+    RESUMABLE_KEYS.
     """
     if resume_from is not None:
         state = load_checkpoint(resume_from)
-        # The caller's config governs loop control (e.g. a raised
-        # max_epochs); saved seeds and RNG states still rule the run.
-        if train_cfg is not None:
-            state.train_cfg = train_cfg
+        saved = run_config(state.game_cfg, state.train_cfg)
+        changed = ["%s (checkpoint %s, config %s)" % (k, saved[k], v)
+                   for k, v in run_config(game_cfg, train_cfg).items()
+                   if v != saved[k] and k not in RESUMABLE_KEYS]
+        if changed:
+            raise ConfigError("resume may change only %s, not %s"
+                              % (" and ".join(RESUMABLE_KEYS),
+                                 "; ".join(changed)))
+        state.train_cfg = train_cfg
     else:
         state = TrainState(game_cfg, train_cfg, len(train_split),
                            extra_meta=extra_meta)
@@ -240,58 +231,50 @@ def train(train_split, val_split, game_cfg, train_cfg,
     return sender, receiver, state.history
 
 
-def _params_to_arrays(prefix, params):
-    return {prefix + k: t.data for k, t in params.named().items()}
+def _checkpoint_arrays(state):
+    """prefix -> {name: live array}: every array a checkpoint holds."""
+    groups = {"cur/": (state.sender, state.receiver)}
+    if state.best_sender is not None:
+        groups["best/"] = (state.best_sender, state.best_receiver)
+    table = {prefix: {k: t.data for k, t in named_params(*pair).items()}
+             for prefix, pair in groups.items()}
+    table.update({"adam_m/": state.optimizer.m, "adam_v/": state.optimizer.v})
+    return table
 
 
 def save_checkpoint(path, state):
     """Single-file .npz container: named little-endian float64 arrays plus a
     JSON metadata blob under the 'meta' key."""
-    arrays = {}
-    arrays.update(_params_to_arrays("cur/", state.sender))
-    arrays.update(_params_to_arrays("cur/", state.receiver))
-    if state.best_sender is not None:
-        arrays.update(_params_to_arrays("best/", state.best_sender))
-        arrays.update(_params_to_arrays("best/", state.best_receiver))
-    opt = state.optimizer.state_dict()
-    for k, v in opt["m"].items():
-        arrays["adam_m/" + k] = v
-    for k, v in opt["v"].items():
-        arrays["adam_v/" + k] = v
-    meta = {
+    arrays = {prefix + k: a
+              for prefix, group in _checkpoint_arrays(state).items()
+              for k, a in group.items()}
+    meta = {k: getattr(state, k) for k in _STATE_META}
+    meta.update({
         "version": CHECKPOINT_VERSION,
         "game_cfg": state.game_cfg.to_dict(),
         "train_cfg": state.train_cfg.to_dict(),
-        "seeds": state.seeds,
-        "epoch": state.epoch,
-        "history": state.history,
-        "best_val_accuracy": state.best_val_accuracy,
         "has_best": state.best_sender is not None,
-        "stale_epochs": state.stale_epochs,
-        "episodes_per_epoch": state.episodes_per_epoch,
         "extra": state.extra_meta,
-        "adam_step": opt["step"],
-        "episode_rng": _rng_state(state.episode_rng),
-        "gumbel_rng": _rng_state(state.gumbel_rng),
-    }
+        "adam_step": state.optimizer.step_count,
+        "episode_rng": state.episode_rng.bit_generator.state,
+        "gumbel_rng": state.gumbel_rng.bit_generator.state,
+    })
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         np.savez(fh, **arrays)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def _assign_params(params, arrays, prefix):
-    for k, t in params.named().items():
-        key = prefix + k
-        if key not in arrays:
-            raise CheckpointError("checkpoint is missing array %r" % key)
-        t.data = np.array(arrays[key], dtype=np.float64)
-
-
 def load_checkpoint(path):
-    """Rebuild a TrainState; resuming from it continues training bit-exactly."""
+    """Rebuild a TrainState; resuming from it continues training bit-exactly.
+
+    Every metadata key must be present and every array must have the shape
+    the checkpoint's own configuration gives it.
+    """
     try:
         with np.load(path) as npz:
             arrays = {k: npz[k] for k in npz.files}
@@ -299,40 +282,41 @@ def load_checkpoint(path):
         raise CheckpointError("cannot read checkpoint %s: %s" % (path, exc))
     if "meta" not in arrays:
         raise CheckpointError("checkpoint %s has no metadata" % path)
-    meta = json.loads(bytes(arrays["meta"].tobytes()).decode("utf-8"))
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError("unsupported checkpoint version %r"
-                              % meta.get("version"))
+    try:
+        meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError("checkpoint %s has unreadable metadata: %s"
+                              % (path, exc))
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError("unsupported checkpoint version %r" % version)
     try:
         return _restore_state(meta, arrays)
     except KeyError as exc:
         raise CheckpointError("checkpoint %s is missing %s" % (path, exc))
+    except ValueError as exc:
+        raise CheckpointError("checkpoint %s is invalid: %s" % (path, exc))
 
 
 def _restore_state(meta, arrays):
-    """TrainState from checkpoint meta and arrays; KeyError if one lacks a
-    key."""
-    game_cfg = GameConfig.from_dict(meta["game_cfg"])
-    train_cfg = TrainConfig.from_dict(meta["train_cfg"])
-    state = TrainState(game_cfg, train_cfg, meta["episodes_per_epoch"],
-                       extra_meta=meta.get("extra"))
-    state.seeds = meta["seeds"]
-    state.episodes_per_epoch = meta["episodes_per_epoch"]
-    _assign_params(state.sender, arrays, "cur/")
-    _assign_params(state.receiver, arrays, "cur/")
+    """TrainState built from the checkpoint's configs, then overwritten with
+    its saved values; KeyError names a key that meta or arrays lack."""
+    state = TrainState(GameConfig.from_dict(meta["game_cfg"]),
+                       TrainConfig.from_dict(meta["train_cfg"]),
+                       meta["episodes_per_epoch"], extra_meta=meta["extra"])
+    for k in _STATE_META:
+        setattr(state, k, meta[k])
     if meta["has_best"]:
         state.best_sender = state.sender.copy()
         state.best_receiver = state.receiver.copy()
-        _assign_params(state.best_sender, arrays, "best/")
-        _assign_params(state.best_receiver, arrays, "best/")
-    opt_state = {"step": meta["adam_step"],
-                 "m": {k: arrays["adam_m/" + k] for k in state.optimizer.m},
-                 "v": {k: arrays["adam_v/" + k] for k in state.optimizer.v}}
-    state.optimizer.load_state_dict(opt_state)
-    state.episode_rng = _rng_from_state(meta["episode_rng"])
-    state.gumbel_rng = _rng_from_state(meta["gumbel_rng"])
-    state.epoch = meta["epoch"]
-    state.history = meta["history"]
-    state.best_val_accuracy = meta["best_val_accuracy"]
-    state.stale_epochs = meta["stale_epochs"]
+    for prefix, group in _checkpoint_arrays(state).items():
+        for k, live in group.items():
+            saved = arrays[prefix + k]
+            if saved.shape != live.shape:
+                raise ValueError("array %s%s has shape %s, expected %s"
+                                 % (prefix, k, saved.shape, live.shape))
+            live[...] = saved
+    state.optimizer.step_count = meta["adam_step"]
+    state.episode_rng.bit_generator.state = meta["episode_rng"]
+    state.gumbel_rng.bit_generator.state = meta["gumbel_rng"]
     return state

@@ -32,6 +32,17 @@ class TestGameConfig:
         cfg = GameConfig(variant="sender-sees-target", temperature=0.7)
         assert GameConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_from_dict_requires_every_field(self):
+        d = GameConfig().to_dict()
+        del d["vocab_size"]
+        with pytest.raises(KeyError, match="vocab_size"):
+            GameConfig.from_dict(d)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_temperature_rejected(self, value):
+        with pytest.raises(ParameterError, match="temperature"):
+            GameConfig(temperature=value)
+
 
 class TestInitParams:
     def test_same_seed_bit_identical(self, small_cfg):

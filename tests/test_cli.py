@@ -93,6 +93,15 @@ class TestGenData:
             assert code == 1
             assert "config error:" in capsys.readouterr().err
 
+    def test_invalid_spec_usage_error(self, tmp_path, capsys):
+        for flag, value in (("--sigma", "nan"), ("--delta", "inf"),
+                            ("--feature-dim", "-1")):
+            out = tmp_path / "x.csv"
+            code = main(GEN_ARGS + [flag, value, "--out", str(out)])
+            assert code == 1, flag
+            assert "config error:" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestTrain:
     def test_outputs_exist(self, tiny_run):
@@ -121,14 +130,16 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == 1
 
     def test_out_of_range_train_key_exit_code(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TINY_CONFIG.replace("episodes_per_epoch=40",
-                                           "episodes_per_epoch=0"))
         data = tmp_path / "d.csv"
         main(GEN_ARGS + ["--out", str(data)])
-        assert main(["train", "--config", str(cfg), "--data", str(data),
-                     "--out", str(tmp_path / "o")]) == 1
-        assert not (tmp_path / "o" / "history.csv").exists()
+        cfg = tmp_path / "bad.cfg"
+        for bad in ("train.episodes_per_epoch=0", "train.epsilon=inf",
+                    "train.learning_rate=nan", "train.learning_rate=inf",
+                    "game.temperature=nan"):
+            cfg.write_text(TINY_CONFIG + bad + "\n")
+            assert main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(tmp_path / "o")]) == 1, bad
+            assert not (tmp_path / "o" / "history.csv").exists()
 
     def test_missing_data_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -172,6 +183,13 @@ class TestEval:
             (evs[1] / "report.txt").read_bytes()
         assert (evs[0] / "symbols.csv").read_bytes() == \
             (evs[1] / "symbols.csv").read_bytes()
+
+    def test_non_positive_episodes_usage_error(self, tiny_run):
+        tmp_path, data, _, out = tiny_run
+        for episodes in ("0", "-5"):
+            assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                         "--data", str(data), "--episodes", episodes,
+                         "--out", str(tmp_path / "ev")]) == 1
 
     def test_dimension_mismatch_rejected(self, tiny_run, tmp_path):
         _, _, _, out = tiny_run

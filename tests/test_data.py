@@ -179,3 +179,8 @@ class TestGenerateSynthetic:
             SyntheticSpec(n_per_class=(0, 5, 5, 5, 5))
         with pytest.raises(DataError):
             SyntheticSpec(noise_sigma=0.0)
+        for bad in (dict(noise_sigma=float("nan")),
+                    dict(class_separation=float("inf")),
+                    dict(feature_dim=-1)):
+            with pytest.raises(DataError):
+                SyntheticSpec(**bad)

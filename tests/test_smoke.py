@@ -1,0 +1,38 @@
+"""Smoke tests: the demo scripts and the benchmark run against this
+checkout's package."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(*args, timeout):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("demo", ["quickstart.py", "gradient_check.py"])
+def test_demo_runs(demo):
+    proc = run_script(str(ROOT / "demos" / demo), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_prints_strict_json_result():
+    proc = run_script("perfbench/run.py", "--workload", "eval-all",
+                      "--seed", "0", "--seconds", "1", timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+    def reject(constant):
+        raise ValueError("non-finite constant %s" % constant)
+
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject)
+    assert result["failed"] == 0, proc.stderr
+    assert set(result["metrics"]) >= {"setup_s", "train_rounds_per_s",
+                                      "eval_rounds_per_s", "peak_rss_mb"}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ from cellang.agents import GameConfig, init_params, named_params
 from cellang.analysis import identification_accuracy
 from cellang.autodiff import Tensor
 from cellang.data import SyntheticSpec, generate_synthetic, standardize, stratified_split
-from cellang.errors import CheckpointError, ParameterError, TrainingError
+from cellang.errors import (CheckpointError, ConfigError, ParameterError,
+                            TrainingError)
 from cellang.training import (Adam, TrainConfig, TrainState, evaluate,
                               history_csv, load_checkpoint, save_checkpoint,
                               train)
@@ -21,6 +23,26 @@ def tiny_setup(small_cfg):
     train_s, val_s, test_s = standardize(
         *stratified_split(generate_synthetic(spec), seed=0))
     return small_cfg, train_s, val_s, test_s
+
+
+@pytest.fixture
+def one_epoch_checkpoint(tiny_setup, tmp_path):
+    cfg, train_s, val_s, _ = tiny_setup
+    path = tmp_path / "ck.npz"
+    train(train_s, val_s, cfg, tiny_train_cfg(max_epochs=1),
+          checkpoint_path=path)
+    return path
+
+
+def rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint after `edit(meta, arrays)` changed it in place."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
+    edit(meta, arrays)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                   dtype=np.uint8)
+    np.savez(path, **arrays)
 
 
 def tiny_train_cfg(**overrides):
@@ -163,20 +185,54 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_missing_meta_key_rejected(self, tiny_setup, tmp_path):
-        cfg, train_s, val_s, _ = tiny_setup
-        path = tmp_path / "ck.npz"
-        train(train_s, val_s, cfg, tiny_train_cfg(max_epochs=1),
-              checkpoint_path=path)
+    @pytest.mark.parametrize("key", ["seeds", "game_cfg.vocab_size",
+                                     "game_cfg.variant"])
+    def test_missing_meta_key_rejected(self, one_epoch_checkpoint, key):
+        def drop_key(meta, arrays):
+            *parents, name = key.split(".")
+            for parent in parents:
+                meta = meta[parent]
+            del meta[name]
+
+        rewrite_checkpoint(one_epoch_checkpoint, drop_key)
+        with pytest.raises(CheckpointError, match=key.split(".")[-1]):
+            load_checkpoint(one_epoch_checkpoint)
+
+    def test_wrong_shape_array_rejected(self, one_epoch_checkpoint):
+        def trim_column(meta, arrays):
+            key = "cur/sender.out_weight"
+            assert arrays[key].shape == (8, 33)
+            arrays[key] = arrays[key][:, :32]
+
+        rewrite_checkpoint(one_epoch_checkpoint, trim_column)
+        with pytest.raises(CheckpointError, match="out_weight"):
+            load_checkpoint(one_epoch_checkpoint)
+
+    def test_unreadable_meta_rejected(self, one_epoch_checkpoint):
+        path = one_epoch_checkpoint
         with np.load(path) as npz:
             arrays = {k: npz[k] for k in npz.files}
-        meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
-        del meta["seeds"]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
-                                       dtype=np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(CheckpointError, match="seeds"):
-            load_checkpoint(path)
+        for blob in (b"{not json", b"[1]"):
+            arrays["meta"] = np.frombuffer(blob, dtype=np.uint8)
+            np.savez(path, **arrays)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "learning_rate", 0.05), ("game", "vocab_size", 20),
+        ("train", "seed", 7),
+    ])
+    def test_resume_refuses_changed_config(self, tiny_setup,
+                                           one_epoch_checkpoint,
+                                           section, key, value):
+        cfg, train_s, val_s, _ = tiny_setup
+        tcfg = tiny_train_cfg()  # a raised max_epochs alone may resume
+        if section == "game":
+            cfg = dataclasses.replace(cfg, **{key: value})
+        else:
+            tcfg = dataclasses.replace(tcfg, **{key: value})
+        with pytest.raises(ConfigError, match="%s.%s" % (section, key)):
+            train(train_s, val_s, cfg, tcfg, resume_from=one_epoch_checkpoint)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -191,6 +247,9 @@ class TestConfigRanges:
         ("early_stop_patience", 0), ("eval_episodes", 0),
         ("temp_decay_epochs", -1), ("temp_floor", 0.0), ("epsilon", 0.0),
         ("batch_episodes", 0), ("learning_rate", -1e-3),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("epsilon", float("inf")), ("beta2", float("nan")),
+        ("max_epochs", float("inf")),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
