@@ -10,8 +10,8 @@ from .analysis import (ContingencyTable, LanguageReport, build_report,
                        majority_symbols, mutual_information_bits,
                        symbols_used_fraction)
 from .autodiff import Tape, Tensor, backward, gumbel_softmax
-from .data import (Dataset, SyntheticSpec, generate_synthetic, load_table,
-                   save_table, standardize, stratified_split)
+from .data import (DataConfig, Dataset, SyntheticSpec, generate_synthetic,
+                   load_table, save_table, standardize, stratified_split)
 from .game import Episode, RoundOutcome, play_round, sample_episode
 from .training import (Adam, TrainConfig, evaluate, load_checkpoint,
                        save_checkpoint, train)

@@ -13,15 +13,13 @@ from pathlib import Path
 from . import __version__
 from .agents import GameConfig
 from .analysis import build_report, export_symbol_distribution, write_report
-from .data import (DEFAULT_COUNTS, DEFAULT_LABELS, SyntheticSpec,
-                   generate_synthetic, load_table, save_table,
+from .data import (DEFAULT_COUNTS, DEFAULT_LABELS, SPLIT_NAMES, DataConfig,
+                   SyntheticSpec, generate_synthetic, load_table, save_table,
                    standardize, stratified_split)
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DimensionError, ParameterError, TrainingError)
 from .training import (TrainConfig, evaluate, history_csv, load_checkpoint,
                        run_config, train)
-
-_SPLIT_NAMES = ("train", "val", "test")
 
 
 def _opt_int(s):
@@ -39,15 +37,17 @@ def _bool(s):
 
 def _converters(config_cls):
     """key -> converter for a config dataclass: the type of the field's
-    default, or _opt_int when the default is None."""
-    return {f.name: _opt_int if f.default is None else type(f.default)
+    default, except for None (_opt_int), bool and tuple defaults, whose
+    types would read "false" as True and "a,b" as characters."""
+    special = {type(None): _opt_int, bool: _bool,
+               tuple: lambda s: tuple(v for v in s.split(",") if v)}
+    return {f.name: special.get(type(f.default), type(f.default))
             for f in fields(config_cls)}
 
 
-# key -> converter, per config section.
-_GAME_KEYS = _converters(GameConfig)
-_TRAIN_KEYS = _converters(TrainConfig)
-_DATA_KEYS = {"split_seed": int, "standardize": _bool, "labels": str}
+_SECTIONS = {"game": GameConfig, "train": TrainConfig, "data": DataConfig}
+# section -> key -> converter.
+_KEYS = {name: _converters(cls) for name, cls in _SECTIONS.items()}
 
 
 def parse_config_text(text, source="<config>"):
@@ -65,58 +65,46 @@ def parse_config_text(text, source="<config>"):
 
 
 def resolve_configs(kv, source="<config>"):
-    """Turn flat key=value pairs into (GameConfig, TrainConfig, data dict)."""
-    sections = {"game": ({}, _GAME_KEYS), "train": ({}, _TRAIN_KEYS),
-                "data": ({}, _DATA_KEYS)}
+    """Turn flat key=value pairs into (GameConfig, TrainConfig, DataConfig)."""
+    values = {name: {} for name in _SECTIONS}
     for key, value in kv.items():
         prefix, _, name = key.partition(".")
-        if prefix not in sections or not name:
-            raise ConfigError("%s: unknown key %r" % (source, key))
-        values, known = sections[prefix]
+        known = _KEYS.get(prefix, {})
         if name not in known:
             raise ConfigError("%s: unknown key %r" % (source, key))
         try:
-            values[name] = known[name](value)
+            values[prefix][name] = known[name](value)
         except (ValueError, TypeError):
             raise ConfigError("%s: bad value for key %r: %r"
                               % (source, key, value))
-    game_kv, train_kv, data_kv = (sections[s][0] for s in ("game", "train", "data"))
-    if "variant" not in game_kv:
+    if "variant" not in values["game"]:
         raise ConfigError("%s: missing required key 'game.variant'" % source)
     try:
-        game_cfg = GameConfig(**game_kv)
-        train_cfg = TrainConfig(**train_kv)
+        return tuple(cls(**values[n]) for n, cls in _SECTIONS.items())
     except ValueError as exc:
         raise ConfigError("%s: %s" % (source, exc))
-    data_cfg = {"split_seed": data_kv.get("split_seed", 0),
-                "standardize": data_kv.get("standardize", True),
-                "labels": ([s for s in data_kv["labels"].split(",") if s]
-                           if "labels" in data_kv else None)}
-    return game_cfg, train_cfg, data_cfg
 
 
-def _manifest_lines(game_cfg, train_cfg, data_cfg):
-    lines = ["%s=%s" % (key, "none" if value is None else value)
-             for key, value in run_config(game_cfg, train_cfg).items()]
-    lines.append("data.split_seed=%d" % data_cfg["split_seed"])
-    lines.append("data.standardize=%s" % str(data_cfg["standardize"]).lower())
-    if data_cfg["labels"]:
-        lines.append("data.labels=%s" % ",".join(data_cfg["labels"]))
-    return lines
+def _manifest_value(value):
+    """A config value as resolve_configs reads it back."""
+    if value is None or isinstance(value, bool):
+        return str(value).lower()
+    return ",".join(value) if isinstance(value, tuple) else value
 
 
-def _write_manifest(path, header_pairs, config_lines):
+def _write_manifest(path, header_pairs, config=None):
     lines = ["# cellang %s" % __version__]
     lines += ["# %s=%s" % (k, v) for k, v in header_pairs]
-    lines += config_lines
+    lines += ["%s=%s" % (k, _manifest_value(v))
+              for k, v in (config or {}).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _prepare_splits(data_path, game_cfg, data_cfg):
-    dataset = load_table(data_path, concepts=data_cfg["labels"],
+    dataset = load_table(data_path, concepts=data_cfg.labels or None,
                          feature_dim=game_cfg.feature_dim)
-    splits = stratified_split(dataset, seed=data_cfg["split_seed"])
-    if data_cfg["standardize"]:
+    splits = stratified_split(dataset, seed=data_cfg.split_seed)
+    if data_cfg.standardize:
         splits = standardize(*splits)
     return splits
 
@@ -156,12 +144,6 @@ def cmd_train(args):
     train_split, val_split, _ = _prepare_splits(args.data, game_cfg, data_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out / "manifest.txt",
-                    [("command", "train"), ("data", args.data)],
-                    _manifest_lines(game_cfg, train_cfg, data_cfg))
-    extra = {"data": {"split_seed": data_cfg["split_seed"],
-                      "standardize": data_cfg["standardize"],
-                      "labels": data_cfg["labels"]}}
 
     def log(row):
         if not args.quiet:
@@ -170,8 +152,11 @@ def cmd_train(args):
 
     _, _, history = train(train_split, val_split, game_cfg, train_cfg,
                           checkpoint_path=out / "checkpoint.npz",
-                          resume_from=args.resume, log=log, extra_meta=extra)
+                          resume_from=args.resume, log=log, data_cfg=data_cfg)
     (out / "history.csv").write_text(history_csv(history), encoding="utf-8")
+    _write_manifest(out / "manifest.txt",
+                    [("command", "train"), ("data", args.data)],
+                    run_config(game_cfg, train_cfg, data_cfg))
     print("best val accuracy: %.4f" % max(r["val_accuracy"] for r in history))
     return 0
 
@@ -181,14 +166,9 @@ def cmd_eval(args):
         raise ConfigError("--episodes must be >= 1, got %d" % args.episodes)
     state = load_checkpoint(args.checkpoint)
     game_cfg = state.game_cfg
-    data_cfg = state.extra_meta.get("data")
-    if data_cfg is None:
-        raise CheckpointError("checkpoint carries no data configuration")
-    splits = _prepare_splits(args.data, game_cfg,
-                             {"split_seed": data_cfg["split_seed"],
-                              "standardize": data_cfg["standardize"],
-                              "labels": data_cfg.get("labels")})
-    split = splits[_SPLIT_NAMES.index(args.split)]
+    splits = _prepare_splits(args.data, game_cfg, state.data_cfg)
+    state.check_data(*splits[:2])
+    split = splits[SPLIT_NAMES.index(args.split)]
     sender, receiver = state.best()
     outcomes = evaluate(sender, receiver, split, game_cfg,
                         args.episodes, args.seed)
@@ -202,8 +182,7 @@ def cmd_eval(args):
     _write_manifest(out / "manifest.txt",
                     [("command", "eval"), ("checkpoint", args.checkpoint),
                      ("data", args.data), ("split", args.split),
-                     ("episodes", args.episodes), ("seed", args.seed)],
-                    [])
+                     ("episodes", args.episodes), ("seed", args.seed)])
     print("accuracy %.4f  symbols used %.3f  MI %.3f bits"
           % (report.identification_accuracy, report.symbols_used_fraction,
              report.mutual_information_bits))
@@ -247,7 +226,7 @@ def build_parser():
                                     "language metrics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=_SPLIT_NAMES, default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--episodes", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -2,16 +2,20 @@
 a synthetic Gaussian stand-in for the private cell cohort."""
 
 import csv
+import hashlib
+import json
 import math
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .agents import ConfigFields
 from .errors import ContractError, DataError
 
 DEFAULT_LABELS = ("CD3", "CD20", "CD68", "Claudin1", "Negative")
 DEFAULT_COUNTS = (138, 132, 177, 391, 3287)
+SPLIT_NAMES = ("train", "val", "test")
 FEATURES_PER_BLOCK = 7
 
 
@@ -65,6 +69,19 @@ class SyntheticSpec:
             raise DataError("class_separation must be finite and >= 0")
         if self.feature_dim < 1:
             raise DataError("feature_dim must be >= 1")
+
+
+@dataclass
+class DataConfig(ConfigFields):
+    """How a run turns a table into splits. Empty `labels` means the
+    table's labels in order of first appearance."""
+    split_seed: int = 0
+    standardize: bool = True
+    labels: tuple = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.labels = tuple(self.labels)  # JSON restores a list
 
 
 def _feature_columns(n):
@@ -149,16 +166,14 @@ def stratified_split(dataset, fractions=(0.64, 0.16, 0.20), seed=0):
     Train and val take floor(fraction * class size) per class; the handful
     of seats left by flooring are topped up largest-remainder so the global
     split sizes hit the exact fractions, and each class's leftover goes to
-    test. Splits are disjoint and exhaustive.
+    test. Splits are disjoint and exhaustive. A class that would get no
+    record in some split is a DataError.
     """
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ContractError("split fractions must sum to 1")
     counts = {c: len(dataset.by_label(c)) for c in dataset.concept_set}
     if not counts:
         raise DataError("dataset has no classes")
-    for c, n in counts.items():
-        if n < 3:
-            raise DataError("class %r has only %d records; need >= 3" % (c, n))
     n_total = len(dataset)
     totals = _apportion([f * n_total for f in fractions], n_total)
     classes = dataset.concept_set
@@ -169,6 +184,10 @@ def stratified_split(dataset, fractions=(0.64, 0.16, 0.20), seed=0):
         overflow = train_c[i] + val_c[i] - counts[c]
         if overflow > 0:
             val_c[i] -= overflow
+        sizes = (train_c[i], val_c[i], counts[c] - train_c[i] - val_c[i])
+        if 0 in sizes:
+            raise DataError("class %r (%d records) gets none in the %s split"
+                            % (c, counts[c], SPLIT_NAMES[sizes.index(0)]))
     rng = np.random.default_rng(seed)
     parts = ([], [], [])
     for i, c in enumerate(classes):
@@ -179,6 +198,16 @@ def stratified_split(dataset, fractions=(0.64, 0.16, 0.20), seed=0):
     return tuple(Dataset(dataset.features[rows], dataset.labels[rows],
                          list(classes), standardization=dataset.standardization)
                  for rows in map(np.concatenate, parts))
+
+
+def fingerprint(*splits):
+    """SHA-256 hex digest of the splits' features, labels and concept sets."""
+    digest = hashlib.sha256()
+    for ds in splits:
+        digest.update(json.dumps([ds.features.shape, ds.labels.tolist(),
+                                  ds.concept_set]).encode("utf-8"))
+        digest.update(np.ascontiguousarray(ds.features, "<f8").tobytes())
+    return digest.hexdigest()
 
 
 def standardize(train, *others):

@@ -10,11 +10,12 @@ import numpy as np
 from .agents import ConfigFields, GameConfig, Mode, init_params, named_params
 from .analysis import identification_accuracy
 from .autodiff import backward
-from .errors import (CheckpointError, ConfigError, ParameterError,
+from .data import DataConfig, fingerprint
+from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
 from .game import play_round, sample_episode
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 HISTORY_HEADER = "epoch,train_loss,val_accuracy,temperature"
 # The config keys a resumed run may change: they only decide when it stops.
 RESUMABLE_KEYS = ("train.max_epochs", "train.early_stop_patience")
@@ -72,13 +73,14 @@ class TrainConfig(ConfigFields):
         return max(self.temp_floor, start - (start - self.temp_floor) * frac)
 
 
-def run_config(game_cfg, train_cfg):
+def run_config(game_cfg, train_cfg, data_cfg):
     """A run's configuration as flat `section.key` -> value, with the
     resolved seeds: what a manifest records."""
-    items = {"game." + k: v for k, v in game_cfg.to_dict().items()}
-    train_items = dict(train_cfg.to_dict(), **train_cfg.resolved_seeds())
-    items.update(("train." + k, v) for k, v in train_items.items())
-    return items
+    sections = {"game": game_cfg.to_dict(),
+                "train": {**train_cfg.to_dict(), **train_cfg.resolved_seeds()},
+                "data": data_cfg.to_dict()}
+    return {"%s.%s" % (section, k): v
+            for section, items in sections.items() for k, v in items.items()}
 
 
 class Adam:
@@ -135,10 +137,12 @@ def history_csv(history):
 class TrainState:
     """Everything needed to continue training bit-exactly."""
 
-    def __init__(self, game_cfg, train_cfg, train_size, extra_meta=None):
+    def __init__(self, game_cfg, train_cfg, data_cfg, train_size,
+                 data_fingerprint):
         self.game_cfg = game_cfg
         self.train_cfg = train_cfg
-        self.extra_meta = extra_meta or {}
+        self.data_cfg = data_cfg
+        self.data_fingerprint = data_fingerprint  # of the train and val splits
         seeds = train_cfg.resolved_seeds()
         self.seeds = seeds
         self.sender, self.receiver = init_params(game_cfg, seeds["init_seed"])
@@ -160,31 +164,40 @@ class TrainState:
             return self.sender, self.receiver
         return self.best_sender, self.best_receiver
 
+    def check_data(self, train_split, val_split):
+        """DataError unless these are the splits this state was trained on."""
+        if fingerprint(train_split, val_split) != self.data_fingerprint:
+            raise DataError("the train and val splits differ from those the "
+                            "checkpoint was trained on")
+
 
 def train(train_split, val_split, game_cfg, train_cfg,
-          checkpoint_path=None, resume_from=None, log=None, extra_meta=None):
+          checkpoint_path=None, resume_from=None, log=None,
+          data_cfg=DataConfig()):
     """Optimize the agents on the training split.
 
     Keeps the parameters with the best validation accuracy (hard-symbol
     evaluation); stops at max_epochs or after early_stop_patience epochs
     without improvement. Returns (best sender, best receiver, history).
-    A resumed run must keep the checkpoint's configuration, except for
-    RESUMABLE_KEYS.
+    `data_cfg` records how the splits were made. A resumed run must keep
+    the checkpoint's configuration, except for RESUMABLE_KEYS, and its
+    splits (a DataError otherwise).
     """
     if resume_from is not None:
         state = load_checkpoint(resume_from)
-        saved = run_config(state.game_cfg, state.train_cfg)
+        saved = run_config(state.game_cfg, state.train_cfg, state.data_cfg)
         changed = ["%s (checkpoint %s, config %s)" % (k, saved[k], v)
-                   for k, v in run_config(game_cfg, train_cfg).items()
+                   for k, v in run_config(game_cfg, train_cfg, data_cfg).items()
                    if v != saved[k] and k not in RESUMABLE_KEYS]
         if changed:
             raise ConfigError("resume may change only %s, not %s"
                               % (" and ".join(RESUMABLE_KEYS),
                                  "; ".join(changed)))
+        state.check_data(train_split, val_split)
         state.train_cfg = train_cfg
     else:
-        state = TrainState(game_cfg, train_cfg, len(train_split),
-                           extra_meta=extra_meta)
+        state = TrainState(game_cfg, train_cfg, data_cfg, len(train_split),
+                           fingerprint(train_split, val_split))
     cfg, tcfg = state.game_cfg, state.train_cfg
     while state.epoch < tcfg.max_epochs:
         tau = tcfg.temperature_at(state.epoch, cfg.temperature)
@@ -253,8 +266,9 @@ def save_checkpoint(path, state):
         "version": CHECKPOINT_VERSION,
         "game_cfg": state.game_cfg.to_dict(),
         "train_cfg": state.train_cfg.to_dict(),
+        "data_cfg": state.data_cfg.to_dict(),
+        "data_fingerprint": state.data_fingerprint,
         "has_best": state.best_sender is not None,
-        "extra": state.extra_meta,
         "adam_step": state.optimizer.step_count,
         "episode_rng": state.episode_rng.bit_generator.state,
         "gumbel_rng": state.gumbel_rng.bit_generator.state,
@@ -303,7 +317,8 @@ def _restore_state(meta, arrays):
     its saved values; KeyError names a key that meta or arrays lack."""
     state = TrainState(GameConfig.from_dict(meta["game_cfg"]),
                        TrainConfig.from_dict(meta["train_cfg"]),
-                       meta["episodes_per_epoch"], extra_meta=meta["extra"])
+                       DataConfig.from_dict(meta["data_cfg"]),
+                       meta["episodes_per_epoch"], meta["data_fingerprint"])
     for k in _STATE_META:
         setattr(state, k, meta[k])
     if meta["has_best"]:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cellang.analysis import (ContingencyTable, build_report,
                               contingency_from_outcomes,
@@ -124,6 +127,16 @@ class TestMutualInformation:
             hs = -np.sum(p.sum(axis=0) * np.log2(p.sum(axis=0)))
             mi = mutual_information_bits(table)
             assert -1e-12 <= mi <= min(hc, hs) + 1e-12
+
+    @given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                  max_side=8),
+                      elements=st.integers(0, 50)))
+    def test_bounded_by_log_of_smaller_side(self, counts):
+        assume(counts.sum() > 0)
+        k, v = counts.shape
+        mi = mutual_information_bits(
+            ContingencyTable([str(i) for i in range(k)], counts))
+        assert -1e-12 <= mi <= math.log2(min(k, v)) + 1e-12
 
     def test_invariant_under_permutations(self):
         rng = np.random.default_rng(2)

@@ -43,7 +43,7 @@ class TestConfigParsing:
         game_cfg, train_cfg, data_cfg = resolve_configs(kv)
         assert game_cfg.vocab_size == 8
         assert train_cfg.max_epochs == 2
-        assert data_cfg["labels"] == ["a", "b", "c"]
+        assert data_cfg.labels == ("a", "b", "c")
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="game.bogus"):
@@ -141,6 +141,37 @@ class TestTrain:
                          "--out", str(tmp_path / "o")]) == 1, bad
             assert not (tmp_path / "o" / "history.csv").exists()
 
+    def test_refused_resume_leaves_run_untouched(self, tiny_run, capsys):
+        tmp_path, data, _, out = tiny_run
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        cfg = tmp_path / "resume.cfg"
+        for changed in ("train.learning_rate=0.05", "data.split_seed=5"):
+            cfg.write_text(TINY_CONFIG + changed + "\n")
+            assert main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out), "--quiet",
+                         "--resume", str(out / "checkpoint.npz")]) == 1
+            assert changed.partition("=")[0] in capsys.readouterr().err
+            assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        # An unchanged config, labels included, resumes.
+        cfg.write_text(TINY_CONFIG.replace("max_epochs=2", "max_epochs=3"))
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "more"), "--quiet",
+                     "--resume", str(out / "checkpoint.npz")]) == 0
+
+    def test_class_missing_from_split_rejected_before_training(
+            self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        main(["gen-data", "--counts", "3,3,3", "--labels", "a,b,c",
+              "--feature-dim", "6", "--out", str(data)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert "'a' (3 records) gets none in the test split" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG)
@@ -190,6 +221,20 @@ class TestEval:
             assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
                          "--data", str(data), "--episodes", episodes,
                          "--out", str(tmp_path / "ev")]) == 1
+
+    def test_other_table_rejected(self, tiny_run, capsys):
+        tmp_path, _, cfg, out = tiny_run
+        other = tmp_path / "other.csv"
+        main(GEN_ARGS + ["--seed", "9", "--out", str(other)])
+        capsys.readouterr()
+        for argv in (["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                      "--out", str(tmp_path / "ev")],
+                     ["train", "--config", str(cfg), "--quiet",
+                      "--resume", str(out / "checkpoint.npz"),
+                      "--out", str(tmp_path / "more")]):
+            assert main(argv + ["--data", str(other)]) == 2, argv[0]
+            assert "splits differ" in capsys.readouterr().err
+            assert not (tmp_path / "ev").exists()
 
     def test_dimension_mismatch_rejected(self, tiny_run, tmp_path):
         _, _, _, out = tiny_run

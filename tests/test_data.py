@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, Dataset,
                           SyntheticSpec, generate_synthetic, load_table,
@@ -11,6 +14,13 @@ def make_dataset(counts, labels, seed=0, dim=4):
     rng = np.random.default_rng(seed)
     return Dataset(rng.normal(size=(sum(counts), dim)),
                    np.repeat(np.array(labels, dtype=str), counts), list(labels))
+
+
+def index_dataset(counts):
+    """A table whose one feature is the row index, so rows name themselves."""
+    labels = ["c%d" % i for i in range(len(counts))]
+    return Dataset(np.arange(sum(counts), dtype=np.float64)[:, None],
+                   np.repeat(np.array(labels), counts), labels)
 
 
 class TestLoadTable:
@@ -94,9 +104,32 @@ class TestStratifiedSplit:
         assert (len(t0a), len(v0a), len(s0a)) == (len(t1), len(v1), len(s1))
 
     def test_small_class_rejected(self):
-        ds = make_dataset((2, 30), ("a", "b"))
-        with pytest.raises(DataError, match="'a'"):
-            stratified_split(ds)
+        # (3, 3, 3) leaves class a without a test record and b without val.
+        for counts, labels, split in (((2, 30), ("a", "b"), "val"),
+                                      ((3, 3, 3), ("a", "b", "c"), "test")):
+            ds = make_dataset(counts, labels)
+            with pytest.raises(DataError, match="'a'.* %s split" % split):
+                stratified_split(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_split_properties(self, counts, seed):
+        ds = index_dataset(counts)
+        try:
+            splits = stratified_split(ds, seed=seed)
+        except DataError:
+            assert min(counts) < 10  # a class large enough fills every split
+            return
+        assert min(counts) >= 3
+        rows = np.sort(np.concatenate([s.features[:, 0] for s in splits]))
+        assert np.array_equal(rows, np.arange(len(ds)))  # disjoint, exhaustive
+        for split, again in zip(splits, stratified_split(ds, seed=seed)):
+            assert np.array_equal(split.features, again.features)
+            assert np.array_equal(split.labels, again.labels)
+        for fraction, split in zip((0.64, 0.16, 0.20), splits):
+            assert abs(len(split) - fraction * len(ds)) < 1
+            assert all(len(split.by_label(c)) for c in ds.concept_set)
 
     def test_fractions_must_sum_to_one(self):
         ds = make_dataset((20, 30), ("a", "b"))
@@ -119,6 +152,18 @@ class TestStandardize:
         out = standardize(ds)
         x = out.features
         assert np.all(x[:, 0] == 0.0)
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30),
+                                            st.integers(1, 5)),
+                      elements=st.integers(-50, 50).map(float)))
+    def test_train_mean_zero_and_no_second_pass(self, features):
+        # Integer values keep every non-constant column's std >= 0.18.
+        ds = Dataset(features, np.array(["a"] * len(features)), ["a"])
+        out = standardize(ds)
+        assert np.all(np.abs(out.features.mean(axis=0)) < 1e-9)
+        with pytest.raises(ContractError):
+            standardize(out)
 
     def test_double_standardize_forbidden(self):
         ds = make_dataset((10,), ("a",))

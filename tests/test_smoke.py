@@ -24,9 +24,12 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_benchmark_prints_strict_json_result():
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_prints_strict_json_result(trace):
+    # Traced eval-all also trains, so Adam, backward and the op probes run.
     proc = run_script("perfbench/run.py", "--workload", "eval-all",
-                      "--seed", "0", "--seconds", "1", timeout=300)
+                      "--seed", "0", "--seconds", "1", "--trace", trace,
+                      timeout=300)
     assert proc.returncode == 0, proc.stderr
 
     def reject(constant):
@@ -34,5 +37,10 @@ def test_benchmark_prints_strict_json_result():
 
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject)
     assert result["failed"] == 0, proc.stderr
-    assert set(result["metrics"]) >= {"setup_s", "train_rounds_per_s",
-                                      "eval_rounds_per_s", "peak_rss_mb"}
+    if trace == "0":
+        wanted = {"setup_s", "train_rounds_per_s", "eval_rounds_per_s",
+                  "peak_rss_mb"}
+    else:
+        contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+        wanted = {m["name"] for m in contract["per_layer"]}
+    assert not wanted - set(result["metrics"]), proc.stdout

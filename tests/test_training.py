@@ -7,22 +7,27 @@ import pytest
 from cellang.agents import GameConfig, init_params, named_params
 from cellang.analysis import identification_accuracy
 from cellang.autodiff import Tensor
-from cellang.data import SyntheticSpec, generate_synthetic, standardize, stratified_split
-from cellang.errors import (CheckpointError, ConfigError, ParameterError,
-                            TrainingError)
+from cellang.cli import main
+from cellang.data import (DataConfig, SyntheticSpec, generate_synthetic,
+                          standardize, stratified_split)
+from cellang.errors import (CheckpointError, ConfigError, DataError,
+                            ParameterError, TrainingError)
 from cellang.training import (Adam, TrainConfig, TrainState, evaluate,
                               history_csv, load_checkpoint, save_checkpoint,
                               train)
 
 
+def tiny_splits(cfg, table_seed=0, split_seed=0):
+    spec = SyntheticSpec(n_per_class=(30, 30, 30), labels=("a", "b", "c"),
+                         feature_dim=cfg.feature_dim,
+                         class_separation=4.0, seed=table_seed)
+    return standardize(*stratified_split(generate_synthetic(spec),
+                                         seed=split_seed))
+
+
 @pytest.fixture
 def tiny_setup(small_cfg):
-    spec = SyntheticSpec(n_per_class=(30, 30, 30), labels=("a", "b", "c"),
-                         feature_dim=small_cfg.feature_dim,
-                         class_separation=4.0, seed=0)
-    train_s, val_s, test_s = standardize(
-        *stratified_split(generate_synthetic(spec), seed=0))
-    return small_cfg, train_s, val_s, test_s
+    return (small_cfg,) + tiny_splits(small_cfg)
 
 
 @pytest.fixture
@@ -186,7 +191,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["seeds", "game_cfg.vocab_size",
-                                     "game_cfg.variant"])
+                                     "game_cfg.variant",
+                                     "data_cfg.split_seed"])
     def test_missing_meta_key_rejected(self, one_epoch_checkpoint, key):
         def drop_key(meta, arrays):
             *parents, name = key.split(".")
@@ -220,19 +226,39 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "learning_rate", 0.05), ("game", "vocab_size", 20),
-        ("train", "seed", 7),
+        ("train", "seed", 7), ("data", "split_seed", 5),
     ])
     def test_resume_refuses_changed_config(self, tiny_setup,
                                            one_epoch_checkpoint,
                                            section, key, value):
         cfg, train_s, val_s, _ = tiny_setup
-        tcfg = tiny_train_cfg()  # a raised max_epochs alone may resume
-        if section == "game":
-            cfg = dataclasses.replace(cfg, **{key: value})
-        else:
-            tcfg = dataclasses.replace(tcfg, **{key: value})
+        configs = {"game": cfg,
+                   "train": tiny_train_cfg(),  # a raised max_epochs may resume
+                   "data": DataConfig()}
+        configs[section] = dataclasses.replace(configs[section],
+                                               **{key: value})
         with pytest.raises(ConfigError, match="%s.%s" % (section, key)):
-            train(train_s, val_s, cfg, tcfg, resume_from=one_epoch_checkpoint)
+            train(train_s, val_s, configs["game"], configs["train"],
+                  resume_from=one_epoch_checkpoint, data_cfg=configs["data"])
+
+    def test_resume_refuses_other_data(self, small_cfg, one_epoch_checkpoint):
+        # Same (default) DataConfig, other rows: only the fingerprint differs.
+        for table_seed, split_seed in ((1, 0), (0, 1)):
+            train_s, val_s, _ = tiny_splits(small_cfg, table_seed, split_seed)
+            with pytest.raises(DataError, match="splits differ"):
+                train(train_s, val_s, small_cfg, tiny_train_cfg(),
+                      resume_from=one_epoch_checkpoint)
+
+    def test_version_1_rejected(self, one_epoch_checkpoint, tmp_path):
+        def set_version_1(meta, arrays):
+            meta["version"] = 1
+
+        rewrite_checkpoint(one_epoch_checkpoint, set_version_1)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(one_epoch_checkpoint)
+        assert main(["eval", "--checkpoint", str(one_epoch_checkpoint),
+                     "--data", str(tmp_path / "unread.csv"),
+                     "--out", str(tmp_path / "ev")]) == 3
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
