@@ -94,15 +94,16 @@ class GameConfig(ConfigFields):
 
 
 class ParamSet:
-    """`named()`/`copy()` over a parameter dataclass's Tensor fields; names
-    are the subclass's PREFIX + field name."""
+    """`named()`/`over()` over a parameter dataclass's Tensor fields; names
+    are the subclass's PREFIX + field name. `over(arrays)` wraps each name's
+    array (name -> array, say Adam views) in a Tensor without copying it."""
 
     def named(self):
         return {self.PREFIX + f.name: getattr(self, f.name)
                 for f in fields(self)}
 
-    def copy(self):
-        return type(self)(**{f.name: getattr(self, f.name).copy()
+    def over(self, arrays):
+        return type(self)(**{f.name: Tensor(arrays[self.PREFIX + f.name])
                              for f in fields(self)})
 
 

@@ -34,15 +34,6 @@ class Tensor:
         """Flat row-major view of the values."""
         return self.data.reshape(-1)
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
-    def copy(self):
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        if self.grad is not None:
-            t.grad = self.grad.copy()
-        return t
-
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (
             tuple(self.data.shape), self.requires_grad)
@@ -63,9 +54,9 @@ class Tape:
 def backward(tape, loss):
     """Propagate d(loss)/d(tensor) to every tensor recorded on the tape.
 
-    Gradients accumulate additively, both across multiple uses of a tensor
-    within the tape and across repeated backward calls (batching relies on
-    the latter; call zero_grad on parameters between batches).
+    Gradients accumulate additively and in place (an existing gradient array,
+    which may be a view, is never replaced), both across multiple uses of a
+    tensor within the tape and across repeated backward calls.
     """
     if loss.data.size != 1:
         raise ContractError("backward expects a scalar loss, got shape %s"
@@ -142,11 +133,8 @@ def conv1d(tape, x, kernels, bias):
 def sigmoid(tape, x):
     """Elementwise logistic function, stable for large |x|."""
     xd = x.data
-    s = np.empty_like(xd)
-    pos = xd >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(xd))  # exp(-x) where x >= 0, exp(x) elsewhere
+    s = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
 
     def backward_fn(g):

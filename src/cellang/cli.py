@@ -164,6 +164,8 @@ def cmd_train(args):
 def cmd_eval(args):
     if args.episodes < 1:
         raise ConfigError("--episodes must be >= 1, got %d" % args.episodes)
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0, got %d" % args.seed)
     state = load_checkpoint(args.checkpoint)
     game_cfg = state.game_cfg
     splits = _prepare_splits(args.data, game_cfg, state.data_cfg)

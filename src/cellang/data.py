@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import ConfigFields
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, ParameterError
 
 DEFAULT_LABELS = ("CD3", "CD20", "CD68", "Claudin1", "Negative")
 DEFAULT_COUNTS = (138, 132, 177, 391, 3287)
@@ -69,6 +69,8 @@ class SyntheticSpec:
             raise DataError("class_separation must be finite and >= 0")
         if self.feature_dim < 1:
             raise DataError("feature_dim must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 @dataclass
@@ -81,6 +83,8 @@ class DataConfig(ConfigFields):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.split_seed < 0:
+            raise ParameterError("split_seed must be >= 0")
         self.labels = tuple(self.labels)  # JSON restores a list
 
 

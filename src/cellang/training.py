@@ -58,6 +58,11 @@ class TrainConfig(ConfigFields):
             raise ParameterError("episodes_per_epoch must be none or >= 1")
         if self.temp_decay_epochs < 0:
             raise ParameterError("temp_decay_epochs must be >= 0")
+        for name in ("seed", "init_seed", "episode_seed", "gumbel_seed",
+                     "val_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ParameterError("%s must be >= 0" % name)
 
     def resolved_seeds(self):
         """Named RNG seeds; unset ones are derived from the master seed."""
@@ -84,34 +89,50 @@ def run_config(game_cfg, train_cfg, data_cfg):
 
 
 class Adam:
-    """Adam with bias correction over a name -> Tensor parameter dict."""
+    """Adam with bias correction (Kingma & Ba, arXiv:1412.6980) that owns
+    the parameters: each Tensor's `.data`/`.grad` becomes a view into the
+    flat `theta`/`grad`, to assign into and never rebind."""
 
     def __init__(self, params, cfg):
-        self.params = params
         self.cfg = cfg
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        ends = np.cumsum([p.data.size for p in params.values()])
+        self._layout = [(k, slice(end - p.data.size, end), p.shape)
+                        for (k, p), end in zip(params.items(), ends)]
+        self.theta = np.concatenate([p.values for p in params.values()])
+        # np.zeros, unlike zeros_like, leaves pages untouched until written.
+        self.grad, self.m, self.v, self._g, self._tmp = (
+            np.zeros(self.theta.size) for _ in range(5))
+        data, grad = self.views(self.theta), self.views(self.grad)
+        for k, p in params.items():
+            p.data, p.grad = data[k], grad[k]
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
+    def views(self, vector):
+        """name -> shaped view into a vector laid out like `theta`."""
+        return {k: vector[span].reshape(shape)
+                for k, span, shape in self._layout}
 
     def step(self, grad_scale=1.0):
-        c = self.cfg
+        # In place, in the per-tensor formula's operation order so the bits
+        # match it: theta -= lr * m_hat / (sqrt(v_hat) + eps).
+        c, g, tmp = self.cfg, self._g, self._tmp
         self.step_count += 1
-        t = self.step_count
-        for k, p in self.params.items():
-            if p.grad is None:
-                raise TrainingError("parameter %s has no gradient" % k)
-            g = p.grad * grad_scale
-            if not np.all(np.isfinite(g)):
-                raise TrainingError("non-finite gradient in %s" % k)
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * g * g
-            m_hat = self.m[k] / (1 - c.beta1 ** t)
-            v_hat = self.v[k] / (1 - c.beta2 ** t)
-            p.data -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.epsilon)
+        np.multiply(self.grad, grad_scale, out=g)
+        if not np.isfinite(g).all():
+            bad = next(k for k, a in self.views(g).items()
+                       if not np.isfinite(a).all())
+            raise TrainingError("non-finite gradient in %s" % bad)
+        self.m *= c.beta1
+        self.m += np.multiply(g, 1 - c.beta1, out=tmp)
+        self.v *= c.beta2
+        np.multiply(g, 1 - c.beta2, out=tmp)
+        self.v += np.multiply(tmp, g, out=tmp)
+        np.divide(self.v, 1 - c.beta2 ** self.step_count, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += c.epsilon
+        np.divide(self.m, 1 - c.beta1 ** self.step_count, out=g)
+        g *= c.learning_rate
+        self.theta -= np.divide(g, tmp, out=g)
 
 
 def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
@@ -152,17 +173,17 @@ class TrainState:
         self.epoch = 0
         self.history = []
         self.best_val_accuracy = -1.0
-        self.best_sender = None
-        self.best_receiver = None
+        self.best_theta = None  # a copy of optimizer.theta
         self.stale_epochs = 0
         self.episodes_per_epoch = (train_cfg.episodes_per_epoch
                                    if train_cfg.episodes_per_epoch is not None
                                    else train_size)
 
     def best(self):
-        if self.best_sender is None:
+        if self.best_theta is None:
             return self.sender, self.receiver
-        return self.best_sender, self.best_receiver
+        views = self.optimizer.views(self.best_theta)
+        return self.sender.over(views), self.receiver.over(views)
 
     def check_data(self, train_split, val_split):
         """DataError unless these are the splits this state was trained on."""
@@ -206,7 +227,7 @@ def train(train_split, val_split, game_cfg, train_cfg,
         while remaining > 0:
             batch = min(tcfg.batch_episodes, remaining)
             remaining -= batch
-            state.optimizer.zero_grad()
+            state.optimizer.grad.fill(0.0)
             for _ in range(batch):
                 episode = sample_episode(train_split, cfg, state.episode_rng)
                 outcome, tape, loss = play_round(
@@ -230,8 +251,7 @@ def train(train_split, val_split, game_cfg, train_cfg,
             log(row)
         if val_acc > state.best_val_accuracy:
             state.best_val_accuracy = val_acc
-            state.best_sender = state.sender.copy()
-            state.best_receiver = state.receiver.copy()
+            state.best_theta = state.optimizer.theta.copy()
             state.stale_epochs = 0
         else:
             state.stale_epochs += 1
@@ -245,22 +265,18 @@ def train(train_split, val_split, game_cfg, train_cfg,
 
 
 def _checkpoint_arrays(state):
-    """prefix -> {name: live array}: every array a checkpoint holds."""
-    groups = {"cur/": (state.sender, state.receiver)}
-    if state.best_sender is not None:
-        groups["best/"] = (state.best_sender, state.best_receiver)
-    table = {prefix: {k: t.data for k, t in named_params(*pair).items()}
-             for prefix, pair in groups.items()}
-    table.update({"adam_m/": state.optimizer.m, "adam_v/": state.optimizer.v})
-    return table
+    """prefix + name -> live view: every array a checkpoint holds."""
+    opt = state.optimizer
+    vectors = {"cur/": opt.theta, "best/": state.best_theta,
+               "adam_m/": opt.m, "adam_v/": opt.v}
+    return {prefix + k: view for prefix, vector in vectors.items()
+            if vector is not None for k, view in opt.views(vector).items()}
 
 
 def save_checkpoint(path, state):
     """Single-file .npz container: named little-endian float64 arrays plus a
     JSON metadata blob under the 'meta' key."""
-    arrays = {prefix + k: a
-              for prefix, group in _checkpoint_arrays(state).items()
-              for k, a in group.items()}
+    arrays = _checkpoint_arrays(state)
     meta = {k: getattr(state, k) for k in _STATE_META}
     meta.update({
         "version": CHECKPOINT_VERSION,
@@ -268,7 +284,7 @@ def save_checkpoint(path, state):
         "train_cfg": state.train_cfg.to_dict(),
         "data_cfg": state.data_cfg.to_dict(),
         "data_fingerprint": state.data_fingerprint,
-        "has_best": state.best_sender is not None,
+        "has_best": state.best_theta is not None,
         "adam_step": state.optimizer.step_count,
         "episode_rng": state.episode_rng.bit_generator.state,
         "gumbel_rng": state.gumbel_rng.bit_generator.state,
@@ -322,15 +338,12 @@ def _restore_state(meta, arrays):
     for k in _STATE_META:
         setattr(state, k, meta[k])
     if meta["has_best"]:
-        state.best_sender = state.sender.copy()
-        state.best_receiver = state.receiver.copy()
-    for prefix, group in _checkpoint_arrays(state).items():
-        for k, live in group.items():
-            saved = arrays[prefix + k]
-            if saved.shape != live.shape:
-                raise ValueError("array %s%s has shape %s, expected %s"
-                                 % (prefix, k, saved.shape, live.shape))
-            live[...] = saved
+        state.best_theta = np.empty_like(state.optimizer.theta)
+    for k, live in _checkpoint_arrays(state).items():
+        if arrays[k].shape != live.shape:
+            raise ValueError("array %s has shape %s, expected %s"
+                             % (k, arrays[k].shape, live.shape))
+        live[...] = arrays[k]
     state.optimizer.step_count = meta["adam_step"]
     state.episode_rng.bit_generator.state = meta["episode_rng"]
     state.gumbel_rng.bit_generator.state = meta["gumbel_rng"]

@@ -127,6 +127,18 @@ class TestSigmoid:
         low = ad.sigmoid(Tape(), t([-1000.0]))
         assert 0.0 <= low.data[0] < 1e-12
 
+    def test_matches_two_branch_formula_bit_for_bit(self):
+        xd = np.concatenate([[0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300],
+                             np.random.default_rng(0).normal(0, 10, 194)])
+        # Reference: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below.
+        ref = np.empty_like(xd)
+        pos = xd >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
+        ex = np.exp(xd[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        out = ad.sigmoid(Tape(), t(xd.reshape(8, 25)))
+        assert out.data.tobytes() == ref.reshape(8, 25).tobytes()
+
     def test_gradient_at_zero(self):
         tape = Tape()
         x = t([0.0])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -95,7 +100,7 @@ class TestGenData:
 
     def test_invalid_spec_usage_error(self, tmp_path, capsys):
         for flag, value in (("--sigma", "nan"), ("--delta", "inf"),
-                            ("--feature-dim", "-1")):
+                            ("--feature-dim", "-1"), ("--seed", "-1")):
             out = tmp_path / "x.csv"
             code = main(GEN_ARGS + [flag, value, "--out", str(out)])
             assert code == 1, flag
@@ -135,11 +140,31 @@ class TestTrain:
         cfg = tmp_path / "bad.cfg"
         for bad in ("train.episodes_per_epoch=0", "train.epsilon=inf",
                     "train.learning_rate=nan", "train.learning_rate=inf",
-                    "game.temperature=nan"):
+                    "game.temperature=nan", "train.seed=-1",
+                    "train.init_seed=-3", "data.split_seed=-1"):
             cfg.write_text(TINY_CONFIG + bad + "\n")
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(tmp_path / "o")]) == 1, bad
             assert not (tmp_path / "o" / "history.csv").exists()
+
+    def test_history_independent_of_blas_threads(self, tmp_path):
+        data = tmp_path / "d.csv"
+        main(GEN_ARGS + ["--out", str(data)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG)
+        src = Path(__file__).resolve().parents[1] / "src"
+        histories = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("threads" + threads)
+            env = dict(os.environ, PYTHONPATH=str(src),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cellang.cli", "train", "--config",
+                 str(cfg), "--data", str(data), "--out", str(out), "--quiet"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            histories.append((out / "history.csv").read_bytes())
+        assert histories[0] == histories[1]
 
     def test_refused_resume_leaves_run_untouched(self, tiny_run, capsys):
         tmp_path, data, _, out = tiny_run
@@ -215,12 +240,14 @@ class TestEval:
         assert (evs[0] / "symbols.csv").read_bytes() == \
             (evs[1] / "symbols.csv").read_bytes()
 
-    def test_non_positive_episodes_usage_error(self, tiny_run):
+    def test_non_positive_episodes_usage_error(self, tiny_run, capsys):
         tmp_path, data, _, out = tiny_run
-        for episodes in ("0", "-5"):
+        for flag, value in (("--episodes", "0"), ("--episodes", "-5"),
+                            ("--seed", "-1")):
             assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
-                         "--data", str(data), "--episodes", episodes,
-                         "--out", str(tmp_path / "ev")]) == 1
+                         "--data", str(data), flag, value,
+                         "--out", str(tmp_path / "ev")]) == 1, flag
+            assert "config error:" in capsys.readouterr().err
 
     def test_other_table_rejected(self, tiny_run, capsys):
         tmp_path, _, cfg, out = tiny_run

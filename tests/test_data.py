@@ -226,6 +226,6 @@ class TestGenerateSynthetic:
             SyntheticSpec(noise_sigma=0.0)
         for bad in (dict(noise_sigma=float("nan")),
                     dict(class_separation=float("inf")),
-                    dict(feature_dim=-1)):
+                    dict(feature_dim=-1), dict(seed=-1)):
             with pytest.raises(DataError):
                 SyntheticSpec(**bad)

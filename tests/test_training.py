@@ -57,13 +57,31 @@ def tiny_train_cfg(**overrides):
     return TrainConfig(**base)
 
 
+def per_tensor_adam(values, grads, cfg, grad_scale):
+    """Reference: the per-tensor Adam update, applied in place to `values`
+    (name -> array) for each step's name -> gradient dict in `grads`.
+    Returns the moments (m, v)."""
+    m = {k: np.zeros_like(a) for k, a in values.items()}
+    v = {k: np.zeros_like(a) for k, a in values.items()}
+    for t, step_grads in enumerate(grads, start=1):
+        for k, value in values.items():
+            g = step_grads[k] * grad_scale
+            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
+            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
+            m_hat = m[k] / (1 - cfg.beta1 ** t)
+            v_hat = v[k] / (1 - cfg.beta2 ** t)
+            value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return m, v
+
+
 class TestAdam:
     def test_first_step_is_sign_update(self):
         cfg = TrainConfig(learning_rate=1e-3)
         for g in (0.5, -0.02, 1e-3):
             p = Tensor([1.0], requires_grad=True)
-            p.grad = np.array([g])
-            Adam({"p": p}, cfg).step()
+            opt = Adam({"p": p}, cfg)
+            p.grad[...] = g
+            opt.step()
             delta = p.data[0] - 1.0
             assert abs(delta + cfg.learning_rate * np.sign(g)) < 1e-6
 
@@ -71,17 +89,17 @@ class TestAdam:
         cfg = TrainConfig()
         p = Tensor([2.5], requires_grad=True)
         opt = Adam({"p": p}, cfg)
-        p.grad = np.array([0.0])
+        p.grad[...] = 0.0
         opt.step()
         assert p.data[0] == 2.5
         # After a real step, a zero-gradient step decays the moments.
-        p.grad = np.array([1.0])
+        p.grad[...] = 1.0
         opt.step()
-        m1, v1 = opt.m["p"][0], opt.v["p"][0]
-        p.grad = np.array([0.0])
+        m1, v1 = opt.views(opt.m)["p"][0], opt.views(opt.v)["p"][0]
+        p.grad[...] = 0.0
         opt.step()
-        assert opt.m["p"][0] == cfg.beta1 * m1
-        assert opt.v["p"][0] == cfg.beta2 * v1
+        assert opt.views(opt.m)["p"][0] == cfg.beta1 * m1
+        assert opt.views(opt.v)["p"][0] == cfg.beta2 * v1
 
     def test_scalar_quadratic_converges(self):
         # 200 steps on f(w) = (w - 3)^2 with lr 0.1.
@@ -89,15 +107,51 @@ class TestAdam:
         p = Tensor([0.0], requires_grad=True)
         opt = Adam({"p": p}, cfg)
         for _ in range(200):
-            p.grad = 2 * (p.data - 3.0)
+            p.grad[...] = 2 * (p.data - 3.0)
             opt.step()
         assert abs(p.data[0] - 3.0) < 0.01
 
     def test_non_finite_gradient_aborts(self):
-        p = Tensor([0.0], requires_grad=True)
-        p.grad = np.array([np.nan])
-        with pytest.raises(TrainingError):
-            Adam({"p": p}, TrainConfig()).step()
+        params = {name: Tensor([0.0, 0.0], requires_grad=True)
+                  for name in ("first", "second", "third")}
+        opt = Adam(params, TrainConfig())
+        params["second"].grad[1] = np.nan
+        with pytest.raises(TrainingError, match="gradient in second"):
+            opt.step()
+        assert not opt.theta.any()
+
+    def test_matches_per_tensor_update_bit_for_bit(self, small_cfg):
+        cfg = TrainConfig(learning_rate=3e-3)
+        params = named_params(*init_params(small_cfg, 0))
+        values = {k: p.data.copy() for k, p in params.items()}
+        rng = np.random.default_rng(4)
+        grads = [{k: rng.normal(scale=10.0 ** rng.integers(-4, 2),
+                                size=a.shape) for k, a in values.items()}
+                 for _ in range(5)]
+        opt = Adam(params, cfg)
+        for step_grads in grads:
+            for k, p in params.items():
+                p.grad[...] = step_grads[k]
+            opt.step(grad_scale=1.0 / 32)
+        m, v = per_tensor_adam(values, grads, cfg, 1.0 / 32)
+        for k, p in params.items():
+            assert p.data.tobytes() == values[k].tobytes(), k
+            assert opt.views(opt.m)[k].tobytes() == m[k].tobytes(), k
+            assert opt.views(opt.v)[k].tobytes() == v[k].tobytes(), k
+
+    def test_parameters_are_views_into_flat_vectors(self, small_cfg,
+                                                    one_epoch_checkpoint):
+        fresh = TrainState(small_cfg, tiny_train_cfg(), DataConfig(), 60, "")
+        loaded = load_checkpoint(one_epoch_checkpoint)
+        for state in (fresh, loaded):
+            opt = state.optimizer
+            for k, p in named_params(state.sender, state.receiver).items():
+                assert np.shares_memory(p.data, opt.theta), k
+                assert np.shares_memory(p.grad, opt.grad), k
+        opt = loaded.optimizer
+        for k, p in named_params(*loaded.best()).items():
+            assert not np.shares_memory(p.data, opt.theta), k
+            assert not np.shares_memory(p.data, opt.grad), k
 
 
 class TestEvaluate:
@@ -275,7 +329,8 @@ class TestConfigRanges:
         ("batch_episodes", 0), ("learning_rate", -1e-3),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("epsilon", float("inf")), ("beta2", float("nan")),
-        ("max_epochs", float("inf")),
+        ("max_epochs", float("inf")), ("seed", -1), ("init_seed", -3),
+        ("val_seed", -1),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
