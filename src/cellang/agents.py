@@ -5,7 +5,8 @@ sigmoid over the embeddings laid end to end and maps the result to
 vocabulary logits; a Gumbel-softmax channel turns the logits into a
 (relaxed) symbol. The receiver embeds the symbol and the candidates into a
 shared space and scores candidates by dot product. Each network embeds all
-of its candidate rows with one linear op on a (rows, features) matrix.
+of its candidate rows with one linear op, and both take an optional leading
+batch axis, so a minibatch of rounds is one forward pass.
 """
 
 import enum
@@ -121,8 +122,9 @@ class SenderParams(ParamSet):
 @dataclass
 class ReceiverParams(ParamSet):
     PREFIX = "receiver."
+    # No image bias: it would add the same b . symbol to every candidate's
+    # score, which the softmax ignores, so its gradient is always zero.
     image_embed_weight: Tensor
-    image_embed_bias: Tensor
     symbol_embed_weight: Tensor
     symbol_embed_bias: Tensor
 
@@ -156,7 +158,6 @@ def init_params(cfg, seed):
     )
     receiver = ReceiverParams(
         image_embed_weight=_glorot(rng, (e, f), f, e),
-        image_embed_bias=_zeros(e),
         symbol_embed_weight=_glorot(rng, (e, v), v, e),
         symbol_embed_bias=_zeros(e),
     )
@@ -168,24 +169,27 @@ def sender_forward(tape, params, cfg, inputs, mode, rng=None,
     """Produce a symbol over the vocabulary from the sender's view.
 
     `inputs` holds K feature rows (target first) or just the target,
-    depending on the game variant, as a matrix or a list of rows. Returns
-    (symbol, logits); in EVAL_HARD mode the symbol is the deterministic
-    one-hot argmax of the logits (lowest index on ties) and no noise is
-    drawn.
+    depending on the game variant: an (n, F) matrix or a list of rows for
+    one round, or a (B, n, F) array for a batch of B rounds. Returns
+    (symbol, logits), (V,) or (B, V); in EVAL_HARD mode the symbol is the
+    deterministic one-hot argmax of the logits (lowest index on ties) and
+    no noise is drawn.
     """
-    if len(inputs) != cfg.sender_inputs():
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim < 2 or inputs.shape[-2] != cfg.sender_inputs():
         raise ContractError(
-            "sender expects %d input vectors for variant %s, got %d"
-            % (cfg.sender_inputs(), cfg.variant.value, len(inputs)))
+            "sender expects %d input vectors per round for variant %s, got "
+            "shape %s" % (cfg.sender_inputs(), cfg.variant.value, inputs.shape))
+    lead = inputs.shape[:-2]
     embeds = ad.linear(tape, Tensor(inputs), params.embed_weight,
                        params.embed_bias)
-    seq = ad.reshape(tape, embeds, (1, cfg.sender_seq_len()))
+    seq = ad.reshape(tape, embeds, lead + (1, cfg.sender_seq_len()))
     feature_maps = ad.sigmoid(
         tape, ad.conv1d(tape, seq, params.conv_kernels, params.conv_bias))
-    flat = ad.reshape(tape, feature_maps, (cfg.flattened_conv_len(),))
+    flat = ad.reshape(tape, feature_maps, lead + (cfg.flattened_conv_len(),))
     logits = ad.linear(tape, flat, params.out_weight, params.out_bias)
     if mode is Mode.EVAL_HARD:
-        symbol = Tensor(ad.one_hot(int(np.argmax(logits.data)), cfg.vocab_size))
+        symbol = Tensor(ad.one_hot(logits.data.argmax(axis=-1), cfg.vocab_size))
     else:
         tau = cfg.temperature if temperature is None else temperature
         symbol = ad.gumbel_softmax(tape, logits, tau, hard=False,
@@ -196,13 +200,14 @@ def sender_forward(tape, params, cfg, inputs, mode, rng=None,
 def receiver_forward(tape, params, cfg, symbol, candidates):
     """Log-probabilities over the K candidates given the symbol.
 
-    `candidates` is a (K, F) matrix or a list of K feature rows.
+    For one round, `symbol` is (V,) and `candidates` a (K, F) matrix or a
+    list of K feature rows; for a batch of B rounds, (B, V) and (B, K, F).
     """
-    if len(candidates) != cfg.n_concepts:
-        raise ContractError("receiver expects %d candidates, got %d"
-                            % (cfg.n_concepts, len(candidates)))
+    candidates = np.asarray(candidates, dtype=np.float64)
+    if candidates.ndim < 2 or candidates.shape[-2] != cfg.n_concepts:
+        raise ContractError("receiver expects %d candidates per round, got "
+                            "shape %s" % (cfg.n_concepts, candidates.shape))
     sym_embed = ad.linear(tape, symbol, params.symbol_embed_weight,
                           params.symbol_embed_bias)
-    embeds = ad.linear(tape, Tensor(candidates), params.image_embed_weight,
-                       params.image_embed_bias)
+    embeds = ad.linear(tape, Tensor(candidates), params.image_embed_weight)
     return ad.log_softmax(tape, ad.dot(tape, embeds, sym_embed))

@@ -1,7 +1,9 @@
 """Minimal reverse-mode automatic differentiation on float64 arrays.
 
 Every operation takes an explicit Tape and records a backward rule on it.
-The graph is rebuilt per game round; nothing is retained between rounds.
+Operations take optional leading batch axes, so one tape holds a whole
+minibatch of game rounds; the graph is rebuilt per minibatch and nothing is
+retained between minibatches.
 """
 
 import numpy as np
@@ -13,6 +15,11 @@ from .errors import ContractError, DimensionError, ParameterError
 # Gumbel noise stays finite.
 _GUMBEL_U_LO = 1e-20
 _GUMBEL_U_HI = 1.0 - 1e-16
+# OpenBLAS computes a product on one thread while m * n * k stays within
+# 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default). Its threaded split
+# changes the summation order, so _matmul keeps every block below this and
+# results do not depend on the BLAS thread count.
+_ONE_THREAD_MNK = 262144
 
 
 class Tensor:
@@ -52,79 +59,108 @@ class Tape:
 
 
 def backward(tape, loss):
-    """Propagate d(loss)/d(tensor) to every tensor recorded on the tape.
+    """Propagate d(loss)/d(tensor) to every tensor the tape's operations
+    take as inputs but do not produce (parameters and data).
 
-    Gradients accumulate additively and in place (an existing gradient array,
-    which may be a view, is never replaced), both across multiple uses of a
-    tensor within the tape and across repeated backward calls.
+    The walk consumes the tape: each node is dropped once walked and its
+    output's gradient is released, so a minibatch's activations are freed
+    as the walk goes. Gradients accumulate additively and in place (an
+    existing gradient array, which may be a view, is never replaced), both
+    across multiple uses of a tensor within the tape and across backward
+    calls on separate tapes.
     """
     if loss.data.size != 1:
         raise ContractError("backward expects a scalar loss, got shape %s"
                             % (tuple(loss.data.shape),))
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
-    for inputs, output, backward_fn in reversed(tape.nodes):
-        g = output.grad
+    loss.grad = np.ones_like(loss.data)
+    while tape.nodes:
+        inputs, output, backward_fn = tape.nodes.pop()
+        g, output.grad = output.grad, None
         if g is None:
             continue
         for tensor, gi in zip(inputs, backward_fn(g)):
             if gi is None:
                 continue
             if tensor.grad is None:
-                tensor.grad = np.zeros_like(tensor.data)
-            tensor.grad += gi.reshape(tensor.data.shape)
+                # Backward rules return fresh arrays (or views of the
+                # released g), so the first one can be kept as it is.
+                tensor.grad = gi.reshape(tensor.data.shape)
+            else:
+                tensor.grad += gi.reshape(tensor.data.shape)
 
 
-def linear(tape, x, weight, bias):
-    """Affine map of one row (in,) or of each row of (n, in):
-    x @ weight.T + bias, with weight (out, in) and bias (out,)."""
-    xd, wd, bd = x.data, weight.data, bias.data
-    if xd.ndim not in (1, 2) or wd.ndim != 2 or wd.shape[1] != xd.shape[-1] \
-            or bd.shape != (wd.shape[0],):
+def _matmul(a, b):
+    """a (m, k) @ b (k, n), in column blocks of b that OpenBLAS computes on
+    one thread."""
+    (m, k), n = a.shape, b.shape[1]
+    cols = max(1, _ONE_THREAD_MNK // (m * k))
+    if cols >= n:
+        return a @ b
+    out = np.empty((m, n))
+    for i in range(0, n, cols):
+        np.matmul(a, b[:, i:i + cols], out=out[:, i:i + cols])
+    return out
+
+
+def linear(tape, x, weight, bias=None):
+    """Affine map of the last axis: x @ weight.T + bias, with x (..., in),
+    weight (out, in) and bias (out,) or None (no bias)."""
+    xd, wd = x.data, weight.data
+    if xd.ndim < 1 or wd.ndim != 2 or wd.shape[1] != xd.shape[-1] or (
+            bias is not None and bias.data.shape != (wd.shape[0],)):
         raise DimensionError(
             "linear: weight %s / bias %s incompatible with input %s"
-            % (wd.shape, bd.shape, xd.shape))
-    out = Tensor(xd @ wd.T + bd)
+            % (wd.shape, None if bias is None else bias.data.shape, xd.shape))
     rows = xd.reshape(-1, wd.shape[1])
+    out = _matmul(rows, wd.T).reshape(xd.shape[:-1] + (wd.shape[0],))
+    out = Tensor(out if bias is None else out + bias.data)
 
     def backward_fn(g):
         g_rows = g.reshape(-1, wd.shape[0])
-        # For a single row, einsum beats both np.outer and a k=1 matmul.
-        return (g @ wd, np.einsum("ki,kj->ij", g_rows, rows),
-                g_rows.sum(axis=0))
+        gx, gw = _matmul(g_rows, wd), _matmul(g_rows.T, rows)
+        return (gx, gw) if bias is None else (gx, gw, g_rows.sum(axis=0))
 
-    tape.record((x, weight, bias), out, backward_fn)
+    tape.record((x, weight) if bias is None else (x, weight, bias), out,
+                backward_fn)
     return out
 
 
 def conv1d(tape, x, kernels, bias):
-    """Valid (no padding) 1-D convolution, stride 1.
+    """Valid (no padding) 1-D convolution, stride 1, of each leading index.
 
-    x: (c_in, length), kernels: (c_out, c_in, k), bias: (c_out,)
-    -> (c_out, length - k + 1)
+    x: (..., c_in, length), kernels: (c_out, c_in, k), bias: (c_out,)
+    -> (..., c_out, length - k + 1), as one (n * L_out, c_in * k) x
+    (c_in * k, c_out) matmul over every window of every leading index.
     """
     xd, kd, bd = x.data, kernels.data, bias.data
-    if xd.ndim != 2 or kd.ndim != 3 or kd.shape[1] != xd.shape[0] \
+    if xd.ndim < 2 or kd.ndim != 3 or kd.shape[1] != xd.shape[-2] \
             or bd.shape != (kd.shape[0],):
         raise DimensionError(
             "conv1d: kernels %s / bias %s incompatible with input %s"
             % (kd.shape, bd.shape, xd.shape))
-    k, length = kd.shape[2], xd.shape[1]
+    c_out, c_in, k = kd.shape
+    length = xd.shape[-1]
     if k > length:
         raise DimensionError(
             "conv1d: kernel width %d exceeds input length %d" % (k, length))
-    windows = sliding_window_view(xd, k, axis=1)  # (c_in, L_out, k)
-    out = Tensor(np.einsum("ocj,ctj->ot", kd, windows) + bd[:, None])
+    l_out, lead = length - k + 1, xd.shape[:-2]
+    # (..., c_in, L_out, k) -> one row per (leading index, position).
+    windows = np.moveaxis(sliding_window_view(xd, k, axis=-1), -3, -2) \
+        .reshape(-1, c_in * k)
+    kmat = kd.reshape(c_out, c_in * k)
+    # C order, so that flattening the (c_out, L_out) maps is a view.
+    out = Tensor(np.add(np.moveaxis(
+        _matmul(windows, kmat.T).reshape(lead + (l_out, c_out)), -1, -2),
+        bd[:, None], order="C"))
 
     def backward_fn(g):
-        gk = np.einsum("ot,ctj->ocj", g, windows)
-        gb = g.sum(axis=1)
+        g_rows = np.moveaxis(g, -1, -2).reshape(-1, c_out)
+        g_windows = _matmul(g_rows, kmat).reshape(lead + (l_out, c_in, k))
         gx = np.zeros_like(xd)
-        l_out = g.shape[1]
         for j in range(k):
-            gx[:, j:j + l_out] += np.einsum("ot,oc->ct", g, kd[:, :, j])
-        return gx, gk, gb
+            gx[..., j:j + l_out] += np.moveaxis(g_windows[..., j], -1, -2)
+        return (gx, _matmul(g_rows.T, windows).reshape(kd.shape),
+                g_rows.sum(axis=0))
 
     tape.record((x, kernels, bias), out, backward_fn)
     return out
@@ -134,7 +170,10 @@ def sigmoid(tape, x):
     """Elementwise logistic function, stable for large |x|."""
     xd = x.data
     e = np.exp(-np.abs(xd))  # exp(-x) where x >= 0, exp(x) elsewhere
-    s = np.where(xd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    # 1/d where x >= 0, e/d elsewhere, in place: a batch's maps are large.
+    s = np.divide(1.0, d)
+    np.copyto(s, np.divide(e, d, out=e), where=xd < 0)
     out = Tensor(s)
 
     def backward_fn(g):
@@ -145,52 +184,61 @@ def sigmoid(tape, x):
 
 
 def log_softmax(tape, x):
-    """Max-shifted log softmax over a 1-D tensor."""
+    """Max-shifted log softmax over the last axis."""
     xd = x.data
-    if xd.ndim != 1 or xd.size < 1:
-        raise DimensionError("log_softmax expects a nonempty 1-D tensor")
-    z = xd - xd.max()
-    lse = np.log(np.exp(z).sum())
-    out = Tensor(z - lse)
+    if xd.ndim < 1 or xd.shape[-1] < 1:
+        raise DimensionError("log_softmax expects a nonempty last axis")
+    z = xd - xd.max(axis=-1, keepdims=True)
+    out = Tensor(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
     p = np.exp(out.data)
 
     def backward_fn(g):
-        return (g - p * g.sum(),)
+        return (g - p * g.sum(axis=-1, keepdims=True),)
 
     tape.record((x,), out, backward_fn)
     return out
 
 
 def dot(tape, a, b):
-    """Inner product of b (n,) with a (n,), giving Tensor[1], or with each
-    row of a (k, n), giving Tensor[k]."""
+    """Inner products over the last axis of b (..., n): with a of b's shape,
+    one per leading index (Tensor[1] for 1-D), or with each row of
+    a (..., k, n), giving (..., k)."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim != 1 or ad.shape[-1] != bd.shape[0]:
+    lead = ad.shape[:-2] if ad.ndim == bd.ndim + 1 else ad.shape[:-1]
+    if bd.ndim < 1 or lead != bd.shape[:-1] or ad.shape[-1] != bd.shape[-1]:
         raise DimensionError("dot: shapes %s and %s differ"
                              % (ad.shape, bd.shape))
-    out = Tensor(np.atleast_1d(ad @ bd))
-    rows = ad.reshape(-1, bd.shape[0])
+    rows = ad.reshape(lead + (-1, bd.shape[-1]))  # (..., k, n); k = 1 for b's
+    out = Tensor((rows @ bd[..., None]).reshape(ad.shape[:-1] or (1,)))
 
     def backward_fn(g):
-        return np.outer(g, bd), g @ rows
+        g_rows = g.reshape(rows.shape[:-1])
+        return (g_rows[..., None] * bd[..., None, :],
+                (g_rows[..., None, :] @ rows)[..., 0, :])
 
     tape.record((a, b), out, backward_fn)
     return out
 
 
 def nll_loss(tape, log_probs, target):
-    """Negative log likelihood of the target index."""
-    lp = log_probs.data
-    if lp.ndim != 1:
-        raise DimensionError("nll_loss expects 1-D log-probabilities")
-    if not 0 <= target < lp.shape[0]:
-        raise IndexError("nll_loss target %d out of range [0, %d)"
-                         % (target, lp.shape[0]))
-    out = Tensor([-lp[target]])
+    """Negative log likelihood of the target index: of one (K,) row and an
+    int target, or summed over the rows of (B, K) with B targets, so that
+    the gradient is the sum of the B rows' gradients."""
+    lp, target = log_probs.data, np.asarray(target)
+    if lp.ndim not in (1, 2) or lp.shape[:-1] != target.shape:
+        raise DimensionError("nll_loss: log-probabilities %s need %s targets, "
+                             "got %s" % (lp.shape, lp.shape[:-1], target.shape))
+    k = lp.shape[-1]
+    if ((target < 0) | (target >= k)).any():
+        raise IndexError("nll_loss target %s out of range [0, %d)"
+                         % (target, k))
+    rows = lp.reshape(-1, k)
+    picked = (np.arange(len(rows)), target.reshape(-1))
+    out = Tensor([-rows[picked].sum()])
 
     def backward_fn(g):
-        gi = np.zeros_like(lp)
-        gi[target] = -g[0]
+        gi = np.zeros_like(rows)
+        gi[picked] = -g[0]
         return (gi,)
 
     tape.record((log_probs,), out, backward_fn)
@@ -208,9 +256,9 @@ def reshape(tape, x, shape):
 
 
 def one_hot(index, size):
-    v = np.zeros(size, dtype=np.float64)
-    v[index] = 1.0
-    return v
+    """One-hot rows over the last axis: (size,) for an int, (..., size) for
+    an index array."""
+    return (np.arange(size) == np.asarray(index)[..., None]).astype(np.float64)
 
 
 def sample_gumbel(rng, size):
@@ -219,13 +267,13 @@ def sample_gumbel(rng, size):
 
 
 def gumbel_softmax(tape, logits, temperature, hard=False, rng=None, noise=None):
-    """Relaxed categorical sample over the logits.
+    """Relaxed categorical sample over the last axis of the logits.
 
     Soft mode returns the tempered softmax of (logits + Gumbel noise); hard
     mode returns one_hot(argmax(soft)) in the forward value while gradients
     flow through the soft sample (straight-through). Pass `noise` to freeze
     the perturbation (used by finite-difference checks); otherwise it is
-    drawn from `rng`.
+    drawn from `rng`, one rng.random(logits.shape) call.
     """
     if temperature <= 0:
         raise ParameterError("gumbel_softmax temperature must be > 0, got %r"
@@ -234,16 +282,15 @@ def gumbel_softmax(tape, logits, temperature, hard=False, rng=None, noise=None):
     if noise is None:
         if rng is None:
             raise ContractError("gumbel_softmax needs an rng when noise is not given")
-        noise = sample_gumbel(rng, ld.shape[0])
+        noise = sample_gumbel(rng, ld.shape)
     z = (ld + noise) / temperature
-    z = z - z.max()
-    y = np.exp(z)
-    y /= y.sum()
-    out = Tensor(one_hot(int(np.argmax(y)), y.shape[0]) if hard else y)
+    y = np.exp(z - z.max(axis=-1, keepdims=True))
+    y /= y.sum(axis=-1, keepdims=True)
+    out = Tensor(one_hot(y.argmax(axis=-1), y.shape[-1]) if hard else y)
 
     def backward_fn(g):
         # Straight-through: both modes backprop through the soft sample.
-        return ((y * (g - g @ y)) / temperature,)
+        return ((y * (g - (g * y).sum(axis=-1, keepdims=True))) / temperature,)
 
     tape.record((logits,), out, backward_fn)
     return out

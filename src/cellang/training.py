@@ -15,7 +15,10 @@ from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
 from .game import play_round, sample_episode
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# Rounds per evaluation forward pass: about a training minibatch, so that
+# sender-sees-all's (block, 20, 71) conv output stays small.
+EVAL_BLOCK = 32
 HISTORY_HEADER = "epoch,train_loss,val_accuracy,temperature"
 # The config keys a resumed run may change: they only decide when it stops.
 RESUMABLE_KEYS = ("train.max_epochs", "train.early_stop_patience")
@@ -91,7 +94,9 @@ def run_config(game_cfg, train_cfg, data_cfg):
 class Adam:
     """Adam with bias correction (Kingma & Ba, arXiv:1412.6980) that owns
     the parameters: each Tensor's `.data`/`.grad` becomes a view into the
-    flat `theta`/`grad`, to assign into and never rebind."""
+    flat `theta`/`grad`, to assign into and never rebind. The scratch vectors
+    are allocated by the first step, so a state loaded only to evaluate never
+    holds them."""
 
     def __init__(self, params, cfg):
         self.cfg = cfg
@@ -101,8 +106,9 @@ class Adam:
                         for (k, p), end in zip(params.items(), ends)]
         self.theta = np.concatenate([p.values for p in params.values()])
         # np.zeros, unlike zeros_like, leaves pages untouched until written.
-        self.grad, self.m, self.v, self._g, self._tmp = (
-            np.zeros(self.theta.size) for _ in range(5))
+        self.grad, self.m, self.v = (np.zeros(self.theta.size)
+                                     for _ in range(3))
+        self._g = self._tmp = None
         data, grad = self.views(self.theta), self.views(self.grad)
         for k, p in params.items():
             p.data, p.grad = data[k], grad[k]
@@ -115,6 +121,8 @@ class Adam:
     def step(self, grad_scale=1.0):
         # In place, in the per-tensor formula's operation order so the bits
         # match it: theta -= lr * m_hat / (sqrt(v_hat) + eps).
+        if self._g is None:
+            self._g, self._tmp = (np.empty_like(self.theta) for _ in range(2))
         c, g, tmp = self.cfg, self._g, self._tmp
         self.step_count += 1
         np.multiply(self.grad, grad_scale, out=g)
@@ -136,14 +144,16 @@ class Adam:
 
 
 def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
-    """Play n_episodes deterministic (hard-symbol) rounds; returns outcomes."""
-    rng = np.random.default_rng(seed)
+    """Play n_episodes deterministic (hard-symbol) rounds, drawn at once and
+    played EVAL_BLOCK at a time; returns one RoundOutcome per round. The
+    blocks' tapes are dropped unwalked."""
+    episodes = sample_episode(split, game_cfg, np.random.default_rng(seed),
+                              n_episodes)
     outcomes = []
-    for _ in range(n_episodes):
-        episode = sample_episode(split, game_cfg, rng)
-        outcome, _, _ = play_round(episode, sender, receiver, game_cfg,
-                                   None, Mode.EVAL_HARD)
-        outcomes.append(outcome)
+    for start in range(0, n_episodes, EVAL_BLOCK):
+        outcome, _, _ = play_round(episodes[start:start + EVAL_BLOCK], sender,
+                                   receiver, game_cfg, None, Mode.EVAL_HARD)
+        outcomes += outcome.rows()
     return outcomes
 
 
@@ -227,24 +237,25 @@ def train(train_split, val_split, game_cfg, train_cfg,
         while remaining > 0:
             batch = min(tcfg.batch_episodes, remaining)
             remaining -= batch
+            episodes = sample_episode(train_split, cfg, state.episode_rng,
+                                      batch)
+            outcome, tape, loss = play_round(
+                episodes, state.sender, state.receiver, cfg,
+                state.gumbel_rng, Mode.TRAIN_SOFT, temperature=tau)
+            if not np.isfinite(outcome.loss).all():
+                if checkpoint_path is not None:
+                    save_checkpoint(checkpoint_path, state)
+                raise TrainingError("non-finite loss at epoch %d"
+                                    % state.epoch)
             state.optimizer.grad.fill(0.0)
-            for _ in range(batch):
-                episode = sample_episode(train_split, cfg, state.episode_rng)
-                outcome, tape, loss = play_round(
-                    episode, state.sender, state.receiver, cfg,
-                    state.gumbel_rng, Mode.TRAIN_SOFT, temperature=tau)
-                if not np.isfinite(outcome.loss):
-                    if checkpoint_path is not None:
-                        save_checkpoint(checkpoint_path, state)
-                    raise TrainingError("non-finite loss at epoch %d"
-                                        % state.epoch)
-                backward(tape, loss)
-                losses.append(outcome.loss)
+            backward(tape, loss)
+            losses.append(outcome.loss)
             state.optimizer.step(grad_scale=1.0 / batch)
         val_outcomes = evaluate(state.sender, state.receiver, val_split, cfg,
                                 tcfg.eval_episodes, state.seeds["val_seed"])
         val_acc = identification_accuracy(val_outcomes)
-        row = {"epoch": state.epoch, "train_loss": float(np.mean(losses)),
+        row = {"epoch": state.epoch,
+               "train_loss": float(np.concatenate(losses).mean()),
                "val_accuracy": val_acc, "temperature": tau}
         state.history.append(row)
         if log is not None:

@@ -161,6 +161,49 @@ def test_criterion_1_gradient_correctness(small_cfg):
         backward(tape, loss)
         ok &= close(xt.grad, x0, f_gs)
 
+        # the ops on a leading batch axis: linear on (2, 4, 3), conv1d on
+        # (3, 2, 7), and sigmoid -> log_softmax -> nll over three rows
+        xb0 = rng.normal(size=(2, 4, 3))
+        probe_b = rng.normal(size=2 * 4 * 5)
+
+        def f_lin_batch(x):
+            tape = Tape()
+            out = ad.reshape(tape, ad.linear(tape, x, Tensor(w),
+                                             Tensor(b)), (-1,))
+            return tape, ad.dot(tape, out, Tensor(probe_b))
+
+        xt = Tensor(xb0)
+        backward(*f_lin_batch(xt))
+        ok &= close(xt.grad, xb0,
+                    lambda x: float(f_lin_batch(Tensor(x))[1].data[0]))
+
+        xcb0 = rng.normal(size=(3, 2, 7))
+        probe_cb = rng.normal(size=3 * 2 * 5)
+
+        def f_conv_batch(x):
+            tape = Tape()
+            out = ad.conv1d(tape, x, Tensor(kern), Tensor(bc))
+            return tape, ad.dot(tape, ad.reshape(tape, out, (-1,)),
+                                Tensor(probe_cb))
+
+        xt = Tensor(xcb0)
+        backward(*f_conv_batch(xt))
+        ok &= close(xt.grad, xcb0,
+                    lambda x: float(f_conv_batch(Tensor(x))[1].data[0]))
+
+        xrows0 = rng.normal(size=(3, 6))
+        targets = rng.integers(6, size=3)
+
+        def f_chain_batch(x):
+            tape = Tape()
+            lp = ad.log_softmax(tape, ad.sigmoid(tape, x))
+            return tape, ad.nll_loss(tape, lp, targets)
+
+        xt = Tensor(xrows0)
+        backward(*f_chain_batch(xt))
+        ok &= close(xt.grad, xrows0,
+                    lambda x: float(f_chain_batch(Tensor(x))[1].data[0]))
+
     # full sender -> receiver composite at frozen noise, every parameter
     for instance in range(50):
         sender, receiver = init_params(small_cfg, instance)
@@ -199,6 +242,40 @@ def test_criterion_1_gradient_correctness(small_cfg):
                 fp = float(composite_loss()[1].data[0])
                 flat[i] = orig - h
                 fm = float(composite_loss()[1].data[0])
+                flat[i] = orig
+                num = (fp - fm) / (2 * h)
+                ok &= bool(np.isclose(analytic[i], num, rtol=1e-3, atol=1e-6))
+
+    # the same composite over a batch of three rounds: one tape, the loss
+    # summed over the rounds, every parameter
+    from cellang.agents import receiver_forward, sender_forward
+    for instance in range(20):
+        sender, receiver = init_params(small_cfg, 100 + instance)
+        params = named_params(sender, receiver)
+        feats = rng.normal(size=(3, small_cfg.n_concepts,
+                                 small_cfg.feature_dim))
+        noise = ad.sample_gumbel(rng, (3, small_cfg.vocab_size))
+        targets = rng.integers(small_cfg.n_concepts, size=3)
+
+        def batch_loss():
+            tape = Tape()
+            symbol, _ = sender_forward(tape, sender, small_cfg, feats,
+                                       Mode.TRAIN_SOFT, noise=noise)
+            lp = receiver_forward(tape, receiver, small_cfg, symbol, feats)
+            return tape, ad.nll_loss(tape, lp, targets)
+
+        backward(*batch_loss())
+        for name, p in params.items():
+            analytic = p.grad.reshape(-1)
+            flat = p.data.reshape(-1)
+            idx = range(flat.size) if flat.size <= 64 else \
+                rng.choice(flat.size, size=64, replace=False)
+            for i in idx:
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = float(batch_loss()[1].data[0])
+                flat[i] = orig - h
+                fm = float(batch_loss()[1].data[0])
                 flat[i] = orig
                 num = (fp - fm) / (2 * h)
                 ok &= bool(np.isclose(analytic[i], num, rtol=1e-3, atol=1e-6))

@@ -61,6 +61,15 @@ class TestInitParams:
         b = named_params(*init_params(small_cfg, 1))
         assert any(not np.array_equal(a[k].data, b[k].data) for k in a)
 
+    def test_parameter_names(self, small_cfg):
+        # No receiver.image_embed_bias: it would shift every candidate's
+        # score by the same amount, which the softmax ignores.
+        assert list(named_params(*init_params(small_cfg, 0))) == [
+            "sender.embed_weight", "sender.embed_bias", "sender.conv_kernels",
+            "sender.conv_bias", "sender.out_weight", "sender.out_bias",
+            "receiver.image_embed_weight", "receiver.symbol_embed_weight",
+            "receiver.symbol_embed_bias"]
+
     def test_weight_range_is_glorot(self, small_cfg):
         sender, _ = init_params(small_cfg, 3)
         w = sender.embed_weight.data

@@ -327,3 +327,126 @@ class TestBackward:
                                          t(np.zeros(3))))
         assert int(np.prod(out.shape)) == out.values.size
         assert np.all(np.isfinite(out.values))
+
+
+def check_gradients(build, *arrays):
+    """build(tape, *tensors) -> scalar Tensor. Every input's gradient from
+    one backward walk must match central finite differences."""
+    tensors = [t(a) for a in arrays]
+    tape = Tape()
+    backward(tape, build(tape, *tensors))
+    for i, (a, x) in enumerate(zip(arrays, tensors)):
+        def f(v):
+            args = [t(b) for b in arrays]
+            args[i] = t(v)
+            return float(build(Tape(), *args).data[0])
+        assert grads_close(x.grad, numerical_grad(f, a)), i
+
+
+def scored(tape, out, probe):
+    """A scalar from a non-scalar output: its dot with a fixed probe."""
+    return ad.dot(tape, ad.reshape(tape, out, (-1,)), t(probe.reshape(-1)))
+
+
+class TestBatchedShapes:
+    """Leading batch axes: each op's gradients at batched shapes, and its
+    values against the op applied to one batch item at a time."""
+
+    def setup_method(self, method):
+        self.rng = np.random.default_rng(21)
+
+    def normal(self, *shape):
+        return self.rng.normal(size=shape)
+
+    def test_linear(self):
+        probe = self.normal(2, 3, 8)
+        for with_bias in (True, False):
+            def build(tape, x, w, *b):
+                return scored(tape, ad.linear(tape, x, w, *b), probe)
+            check_gradients(build, self.normal(2, 3, 4), self.normal(8, 4),
+                            *([self.normal(8)] if with_bias else []))
+
+    def test_linear_without_bias_is_the_matmul(self):
+        x, w = self.normal(2, 3, 4), self.normal(8, 4)
+        out = ad.linear(Tape(), t(x), t(w))
+        assert np.array_equal(out.data, x @ w.T)
+
+    def test_conv1d_items_match_single_calls_exactly(self):
+        x = self.rng.integers(-8, 9, size=(4, 2, 9)).astype(float)
+        kern = self.rng.integers(-8, 9, size=(3, 2, 4)).astype(float)
+        b = self.rng.integers(-8, 9, size=3).astype(float)
+        out = ad.conv1d(Tape(), t(x), t(kern), t(b))
+        assert out.data.shape == (4, 3, 6)
+        for i in range(4):
+            single = ad.conv1d(Tape(), t(x[i]), t(kern), t(b))
+            assert np.array_equal(out.data[i], single.data)
+
+    def test_conv1d(self):
+        probe = self.normal(3, 3, 7)
+        check_gradients(
+            lambda tape, x, k, b: scored(tape, ad.conv1d(tape, x, k, b),
+                                         probe),
+            self.normal(3, 2, 10), self.normal(3, 2, 4), self.normal(3))
+
+    def test_sigmoid(self):
+        probe = self.normal(3, 2, 5)
+        check_gradients(
+            lambda tape, x: scored(tape, ad.sigmoid(tape, x), probe),
+            self.normal(3, 2, 5))
+
+    def test_log_softmax_rows_match_single_rows(self):
+        x = self.normal(4, 6)
+        out = ad.log_softmax(Tape(), t(x))
+        for i in range(4):
+            assert np.array_equal(out.data[i],
+                                  ad.log_softmax(Tape(), t(x[i])).data)
+        probe = self.normal(4, 6)
+        check_gradients(
+            lambda tape, x: scored(tape, ad.log_softmax(tape, x), probe), x)
+
+    def test_dot_rows_per_batch_item(self):
+        a, b = self.normal(4, 3, 5), self.normal(4, 5)
+        out = ad.dot(Tape(), t(a), t(b))
+        assert out.data.shape == (4, 3)
+        for i in range(4):
+            assert np.allclose(out.data[i], a[i] @ b[i], rtol=1e-15, atol=0)
+        probe = self.normal(4, 3)
+        check_gradients(lambda tape, a, b: scored(tape, ad.dot(tape, a, b),
+                                                  probe), a, b)
+        with pytest.raises(DimensionError):
+            ad.dot(Tape(), t(a), t(self.normal(3, 5)))
+
+    def test_nll_loss_sums_rows(self):
+        lp = np.log(self.rng.dirichlet(np.ones(5), size=4))
+        target = np.array([0, 4, 2, 2])
+        out = ad.nll_loss(Tape(), t(lp), target)
+        assert out.data.shape == (1,)
+        assert out.data[0] == -sum(lp[i, target[i]] for i in range(4))
+        tape = Tape()
+        x = t(lp)
+        backward(tape, ad.nll_loss(tape, x, target))
+        expected = np.zeros((4, 5))
+        expected[np.arange(4), target] = -1.0
+        assert np.array_equal(x.grad, expected)
+        with pytest.raises(IndexError):
+            ad.nll_loss(Tape(), t(lp), np.array([0, 5, 1, 1]))
+        with pytest.raises(DimensionError):
+            ad.nll_loss(Tape(), t(lp), 1)
+
+    def test_gumbel_softmax_frozen_noise(self):
+        noise = ad.sample_gumbel(self.rng, (3, 6))
+        probe = self.normal(3, 6)
+        check_gradients(lambda tape, x: scored(
+            tape, ad.gumbel_softmax(tape, x, 0.5, noise=noise), probe),
+            self.normal(3, 6))
+        hard = ad.gumbel_softmax(Tape(), t(self.normal(3, 6)), 1.0, hard=True,
+                                 rng=self.rng)
+        assert np.array_equal(hard.data.sum(axis=1), np.ones(3))
+        assert sorted(hard.data.reshape(-1)) == [0.0] * 15 + [1.0] * 3
+
+    def test_gumbel_batch_draw_is_the_row_draws(self):
+        # One rng.random((B, V)) call gives the same noise as B (V,) calls.
+        a = ad.sample_gumbel(np.random.default_rng(3), (4, 7))
+        rng = np.random.default_rng(3)
+        b = np.stack([ad.sample_gumbel(rng, 7) for _ in range(4)])
+        assert np.array_equal(a, b)

@@ -147,13 +147,17 @@ class TestTrain:
                          "--out", str(tmp_path / "o")]) == 1, bad
             assert not (tmp_path / "o" / "history.csv").exists()
 
-    def test_history_independent_of_blas_threads(self, tmp_path):
+    @staticmethod
+    def train_under_blas_threads(tmp_path, config, gen_args):
+        """Train the same run with 1 and with 2 OpenBLAS threads, each in
+        its own process; returns each run's (history.csv bytes, checkpoint
+        arrays)."""
         data = tmp_path / "d.csv"
-        main(GEN_ARGS + ["--out", str(data)])
+        assert main(gen_args + ["--out", str(data)]) == 0
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(TINY_CONFIG)
+        cfg.write_text(config)
         src = Path(__file__).resolve().parents[1] / "src"
-        histories = []
+        runs = []
         for threads in ("1", "2"):
             out = tmp_path / ("threads" + threads)
             env = dict(os.environ, PYTHONPATH=str(src),
@@ -163,8 +167,26 @@ class TestTrain:
                  str(cfg), "--data", str(data), "--out", str(out), "--quiet"],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
-            histories.append((out / "history.csv").read_bytes())
-        assert histories[0] == histories[1]
+            with np.load(out / "checkpoint.npz") as npz:
+                arrays = {k: npz[k].tobytes() for k in npz.files
+                          if k != "meta"}
+            runs.append(((out / "history.csv").read_bytes(), arrays))
+        return runs
+
+    def test_history_independent_of_blas_threads(self, tmp_path):
+        (h1, _), (h2, _) = self.train_under_blas_threads(
+            tmp_path, TINY_CONFIG, GEN_ARGS)
+        assert h1 == h2
+
+    def test_acceptance_size_independent_of_blas_threads(self, tmp_path):
+        # The default game: sender-sees-all's 1420 -> 100 output linear over
+        # a 32-round minibatch is large enough for OpenBLAS to thread.
+        config = ("game.variant=sender-sees-all\ntrain.max_epochs=2\n"
+                  "train.episodes_per_epoch=96\ntrain.eval_episodes=64\n")
+        (h1, a1), (h2, a2) = self.train_under_blas_threads(
+            tmp_path, config, ["gen-data"])
+        assert h1 == h2
+        assert a1 == a2
 
     def test_refused_resume_leaves_run_untouched(self, tiny_run, capsys):
         tmp_path, data, _, out = tiny_run

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cellang.agents import GameConfig, Mode, init_params
+from cellang import autodiff as ad
+from cellang.agents import GameConfig, Mode, init_params, named_params
+from cellang.autodiff import backward
 from cellang.data import Dataset, SyntheticSpec, generate_synthetic
 from cellang.errors import ContractError, DataError
 from cellang.game import play_round, sample_episode
@@ -22,8 +24,12 @@ def label_of(split, row):
 class TestSampleEpisode:
     def test_one_candidate_per_concept(self, small_cfg, split3):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            ep = sample_episode(split3, small_cfg, rng)
+        # Ten single episodes, then every episode of a batch of 32.
+        episodes = [sample_episode(split3, small_cfg, rng) for _ in range(10)]
+        batch = sample_episode(split3, small_cfg, rng, 32)
+        assert batch.candidates.shape == (32, 3, small_cfg.feature_dim)
+        episodes += [batch[b] for b in range(32)]
+        for ep in episodes:
             assert [label_of(split3, row) for row in ep.candidates] == \
                 ["a", "b", "c"]
             assert 0 <= ep.target_index < 3
@@ -31,10 +37,10 @@ class TestSampleEpisode:
             assert sorted(ep.receiver_permutation) == [0, 1, 2]
 
     def test_target_index_uniform(self, small_cfg, split3):
-        rng = np.random.default_rng(1)
-        counts = np.zeros(3)
-        for _ in range(10000):
-            counts[sample_episode(split3, small_cfg, rng).target_index] += 1
+        batch = sample_episode(split3, small_cfg, np.random.default_rng(1),
+                               10000)
+        counts = np.bincount(batch.target_index, minlength=3)
+        assert counts.sum() == 10000
         assert np.all(np.abs(counts / 10000 - 1 / 3) < 0.02)
 
     def test_same_seed_identical(self, small_cfg, split3):
@@ -45,16 +51,21 @@ class TestSampleEpisode:
         assert np.array_equal(a.candidates, b.candidates)
 
     def test_draws_match_one_scalar_draw_per_concept(self, small_cfg, split3):
-        # Reference: the per-concept loop the vectorized draw replaced.
+        # Reference: the per-concept loop the vectorized draw replaced, then
+        # the target and the permutation, episode after episode; a batch's
+        # episodes are the reference's in order, whatever its size.
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        for _ in range(200):
-            ep = sample_episode(split3, small_cfg, rng)
-            rows = [split3.by_label(c)[ref.integers(len(split3.by_label(c)))]
-                    for c in split3.concept_set]
-            assert np.array_equal(ep.candidates, split3.features[rows])
-            assert ep.target_index == ref.integers(small_cfg.n_concepts)
-            assert np.array_equal(ep.receiver_permutation,
-                                  ref.permutation(small_cfg.n_concepts))
+        for batch in [None] * 100 + [1] * 50 + [32] * 5:
+            drawn = sample_episode(split3, small_cfg, rng, batch)
+            episodes = [drawn] if batch is None else \
+                [drawn[b] for b in range(batch)]
+            for ep in episodes:
+                rows = [split3.by_label(c)[ref.integers(
+                    len(split3.by_label(c)))] for c in split3.concept_set]
+                assert np.array_equal(ep.candidates, split3.features[rows])
+                assert ep.target_index == ref.integers(small_cfg.n_concepts)
+                assert np.array_equal(ep.receiver_permutation,
+                                      ref.permutation(small_cfg.n_concepts))
 
     def test_empty_concept_names_it(self, small_cfg, split3):
         keep = split3.labels != "b"
@@ -133,3 +144,48 @@ class TestPlayRound:
             _, tape, _ = play_round(ep, sender, receiver, cfg, rng,
                                     Mode.TRAIN_SOFT)
             assert len(tape.nodes) == 12, variant
+
+
+@pytest.fixture
+def split5():
+    return generate_synthetic(SyntheticSpec(n_per_class=(12,) * 5, seed=3))
+
+
+class TestBatchedRound:
+    @pytest.mark.parametrize("variant", ["sender-sees-all",
+                                         "sender-sees-target"])
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_matches_looped_single_rounds(self, split5, variant, batch):
+        # Acceptance-size game, frozen Gumbel noise. Reference: the same
+        # episodes played one at a time (the B = 1 call) with the gradients
+        # accumulated over the loop.
+        cfg = GameConfig(variant=variant)
+        rng = np.random.default_rng(11)
+        episodes = sample_episode(split5, cfg, rng, batch)
+        noise = ad.sample_gumbel(rng, (batch, cfg.vocab_size))
+        ref_params = init_params(cfg, 4)
+        ref_outcomes = []
+        for b in range(batch):
+            outcome, tape, loss = play_round(
+                episodes[b], *ref_params, cfg, None, Mode.TRAIN_SOFT,
+                temperature=0.8, noise=noise[b])
+            backward(tape, loss)
+            ref_outcomes.append(outcome)
+        params = init_params(cfg, 4)
+        outcome, tape, loss = play_round(episodes, *params, cfg, None,
+                                         Mode.TRAIN_SOFT, temperature=0.8,
+                                         noise=noise)
+        assert len(tape.nodes) == 12
+        backward(tape, loss)
+        ref_mean = np.mean([o.loss for o in ref_outcomes])
+        assert abs(loss.data[0] / batch - ref_mean) <= 1e-12 * ref_mean
+        assert abs(outcome.loss.mean() - ref_mean) <= 1e-12 * ref_mean
+        for row, ref in zip(outcome.rows(), ref_outcomes):
+            assert (row.receiver_guess, row.correct, row.symbol_index,
+                    row.target_label) == (ref.receiver_guess, ref.correct,
+                                          ref.symbol_index, ref.target_label)
+        ref_named = named_params(*ref_params)
+        for name, p in named_params(*params).items():
+            ref_grad = ref_named[name].grad
+            assert np.abs(p.grad - ref_grad).max() <= \
+                1e-13 * np.abs(ref_grad).max(), name

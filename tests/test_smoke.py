@@ -26,21 +26,25 @@ def test_demo_runs(demo):
 
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_benchmark_prints_strict_json_result(trace):
-    # Traced eval-all also trains, so Adam, backward and the op probes run.
-    proc = run_script("perfbench/run.py", "--workload", "eval-all",
-                      "--seed", "0", "--seconds", "1", "--trace", trace,
-                      timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    # Traced eval-all also trains, so Adam, backward and the op probes run;
+    # traced train-all runs the sender-sees-all training path every traced
+    # per-layer probe wraps.
+    for workload in ["eval-all"] + (["train-all"] if trace == "1" else []):
+        proc = run_script("perfbench/run.py", "--workload", workload,
+                          "--seed", "0", "--seconds", "1", "--trace", trace,
+                          timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
-    def reject(constant):
-        raise ValueError("non-finite constant %s" % constant)
+        def reject(constant):
+            raise ValueError("non-finite constant %s" % constant)
 
-    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject)
-    assert result["failed"] == 0, proc.stderr
-    if trace == "0":
-        wanted = {"setup_s", "train_rounds_per_s", "eval_rounds_per_s",
-                  "peak_rss_mb"}
-    else:
-        contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-        wanted = {m["name"] for m in contract["per_layer"]}
-    assert not wanted - set(result["metrics"]), proc.stdout
+        result = json.loads(proc.stdout.splitlines()[-1],
+                            parse_constant=reject)
+        assert result["failed"] == 0, proc.stderr
+        if trace == "0":
+            wanted = {"setup_s", "train_rounds_per_s", "eval_rounds_per_s",
+                      "peak_rss_mb"}
+        else:
+            contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+            wanted = {m["name"] for m in contract["per_layer"]}
+        assert not wanted - set(result["metrics"]), (workload, proc.stdout)

@@ -12,9 +12,10 @@ from cellang.data import (DataConfig, SyntheticSpec, generate_synthetic,
                           standardize, stratified_split)
 from cellang.errors import (CheckpointError, ConfigError, DataError,
                             ParameterError, TrainingError)
-from cellang.training import (Adam, TrainConfig, TrainState, evaluate,
-                              history_csv, load_checkpoint, save_checkpoint,
-                              train)
+from cellang.game import Mode, play_round, sample_episode
+from cellang.training import (EVAL_BLOCK, Adam, TrainConfig, TrainState,
+                              evaluate, history_csv, load_checkpoint,
+                              save_checkpoint, train)
 
 
 def tiny_splits(cfg, table_seed=0, split_seed=0):
@@ -153,6 +154,13 @@ class TestAdam:
             assert not np.shares_memory(p.data, opt.theta), k
             assert not np.shares_memory(p.data, opt.grad), k
 
+    def test_scratch_allocated_by_first_step(self, one_epoch_checkpoint):
+        # A state loaded only to evaluate never steps, so never holds them.
+        opt = load_checkpoint(one_epoch_checkpoint).optimizer
+        assert opt._g is None and opt._tmp is None
+        opt.step()
+        assert opt._g.shape == opt._tmp.shape == opt.theta.shape
+
 
 class TestEvaluate:
     def test_deterministic(self, tiny_setup):
@@ -161,6 +169,24 @@ class TestEvaluate:
         a = evaluate(sender, receiver, test_s, cfg, 50, seed=5)
         b = evaluate(sender, receiver, test_s, cfg, 50, seed=5)
         assert a == b
+
+    def test_blocks_match_single_rounds(self, tiny_setup):
+        # Three blocks, the last one partial, against the same episodes
+        # played one at a time.
+        cfg, _, _, test_s = tiny_setup
+        sender, receiver = init_params(cfg, 3)
+        n = 2 * EVAL_BLOCK + 5
+        outcomes = evaluate(sender, receiver, test_s, cfg, n, seed=6)
+        episodes = sample_episode(test_s, cfg, np.random.default_rng(6), n)
+        assert len(outcomes) == n
+        for b, o in enumerate(outcomes):
+            ref, _, _ = play_round(episodes[b], sender, receiver, cfg, None,
+                                   Mode.EVAL_HARD)
+            assert (o.receiver_guess, o.correct, o.symbol_index,
+                    o.target_label) == (ref.receiver_guess, ref.correct,
+                                        ref.symbol_index, ref.target_label)
+            assert abs(o.loss - ref.loss) <= 1e-12 * max(1.0, ref.loss)
+            assert type(o.loss) is float and type(o.target_label) is str
 
     def test_symbol_indices_in_vocab(self, tiny_setup):
         cfg, _, _, test_s = tiny_setup
@@ -309,6 +335,21 @@ class TestCheckpoint:
 
         rewrite_checkpoint(one_epoch_checkpoint, set_version_1)
         with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(one_epoch_checkpoint)
+        assert main(["eval", "--checkpoint", str(one_epoch_checkpoint),
+                     "--data", str(tmp_path / "unread.csv"),
+                     "--out", str(tmp_path / "ev")]) == 3
+
+    def test_version_2_rejected(self, one_epoch_checkpoint, tmp_path):
+        # The version before batched sampling, which also stored the
+        # receiver's image bias.
+        def make_version_2(meta, arrays):
+            meta["version"] = 2
+            for prefix in ("cur/", "adam_m/", "adam_v/"):
+                arrays[prefix + "receiver.image_embed_bias"] = np.zeros(4)
+
+        rewrite_checkpoint(one_epoch_checkpoint, make_version_2)
+        with pytest.raises(CheckpointError, match="version 2"):
             load_checkpoint(one_epoch_checkpoint)
         assert main(["eval", "--checkpoint", str(one_epoch_checkpoint),
                      "--data", str(tmp_path / "unread.csv"),
