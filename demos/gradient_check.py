@@ -1,8 +1,9 @@
 """Finite-difference check of the round loss gradients.
 
-Plays a single soft-symbol round with the Gumbel noise frozen, backpropagates
-through the tape, then compares a sample of each parameter's gradient against
-a central finite difference of the replayed round.
+Plays a single soft-symbol round (a batch of one) with the Gumbel noise
+frozen, backpropagates through the tape, then compares a sample of each
+parameter's gradient against a central finite difference of the replayed
+round.
 
 Run:  python3 demos/gradient_check.py
 """
@@ -30,8 +31,8 @@ def main():
     split = generate_synthetic(spec)
 
     rng = np.random.default_rng(0)
-    episode = sample_episode(split, cfg, rng)
-    noise = sample_gumbel(rng, cfg.vocab_size)
+    episode = sample_episode(split, cfg, rng, 1)
+    noise = sample_gumbel(rng, (1, cfg.vocab_size))
     sender, receiver = init_params(cfg, seed=1)
 
     tape, loss = round_loss(episode, sender, receiver, cfg, noise)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DataError
 
 
 @dataclass
@@ -19,12 +19,22 @@ class ContingencyTable:
         return int(self.counts.sum())
 
 
-def contingency_from_outcomes(outcomes, labels, vocab_size):
-    counts = np.zeros((len(labels), vocab_size), dtype=np.int64)
-    row = {c: i for i, c in enumerate(labels)}
-    for o in outcomes:
-        counts[row[o.target_label], o.symbol_index] += 1
-    return ContingencyTable(list(labels), counts)
+def contingency(label_index, symbol_index, labels, vocab_size):
+    """The table of rounds given by their class indices into `labels` and
+    their symbols, counted by one np.bincount of label * V + symbol."""
+    k, symbol_index = len(labels), np.asarray(symbol_index, dtype=np.int64)
+    if ((symbol_index < 0) | (symbol_index >= vocab_size)).any():
+        raise ContractError("symbol index outside [0, %d)" % vocab_size)
+    codes = np.asarray(label_index, dtype=np.int64) * vocab_size + symbol_index
+    counts = np.bincount(codes, minlength=k * vocab_size)
+    return ContingencyTable(list(labels), counts.reshape(k, vocab_size))
+
+
+def _outcome_table(outcomes, labels, vocab_size):
+    if list(outcomes.labels) != list(labels):
+        raise ContractError("outcome classes differ from %s" % list(labels))
+    return contingency(outcomes.target_index, outcomes.symbol_index, labels,
+                       vocab_size)
 
 
 @dataclass
@@ -38,28 +48,27 @@ class LanguageReport:
 
 def identification_accuracy(outcomes):
     if not outcomes:
-        raise ContractError("empty outcome list")
-    return sum(o.correct for o in outcomes) / len(outcomes)
+        raise ContractError("no outcomes")
+    return int(np.count_nonzero(outcomes.correct)) / len(outcomes)
 
 
 def symbols_used_fraction(outcomes, vocab_size):
     if not outcomes:
-        raise ContractError("empty outcome list")
-    return len({o.symbol_index for o in outcomes}) / vocab_size
+        raise ContractError("no outcomes")
+    return len(np.flatnonzero(np.bincount(outcomes.symbol_index))) / vocab_size
 
 
 def majority_symbols(table):
     """Per class: the most frequent symbol (lowest index on ties) and its
     share of the class row."""
-    out = {}
-    for i, label in enumerate(table.labels):
-        row = table.counts[i]
-        row_sum = row.sum()
-        if row_sum == 0:
-            raise ContractError("class %r has no logged rounds" % label)
-        s = int(np.argmax(row))
-        out[label] = (s, float(row[s] / row_sum))
-    return out
+    counts = table.counts
+    row_sums = counts.sum(axis=1)
+    if not row_sums.all():
+        raise ContractError("class %r has no logged rounds"
+                            % table.labels[int(np.argmin(row_sums))])
+    best = counts.argmax(axis=1)
+    purity = counts[np.arange(len(best)), best] / row_sums
+    return dict(zip(table.labels, zip(best.tolist(), purity.tolist())))
 
 
 def mutual_information_bits(table):
@@ -76,7 +85,7 @@ def mutual_information_bits(table):
 
 
 def build_report(outcomes, labels, vocab_size):
-    table = contingency_from_outcomes(outcomes, labels, vocab_size)
+    table = _outcome_table(outcomes, labels, vocab_size)
     return LanguageReport(
         identification_accuracy=identification_accuracy(outcomes),
         symbols_used_fraction=symbols_used_fraction(outcomes, vocab_size),
@@ -108,36 +117,39 @@ def _contingency_path(path):
     return (base + "_contingency." + ext) if dot else str(path) + "_contingency"
 
 
-def export_symbol_distribution(outcomes, path, labels=None, vocab_size=None):
+def export_symbol_distribution(outcomes, path, labels, vocab_size):
     """Long-form `class,symbol_index` rows (one per round) for external
     violin/strip plots, plus the class-by-symbol count matrix alongside."""
-    if not outcomes:
-        raise ContractError("empty outcome list")
-    if labels is None:
-        labels = sorted({o.target_label for o in outcomes})
-    if vocab_size is None:
-        vocab_size = max(o.symbol_index for o in outcomes) + 1
+    table = _outcome_table(outcomes, labels, vocab_size)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "symbol_index"])
-        for o in outcomes:
-            writer.writerow([o.target_label, o.symbol_index])
-    table = contingency_from_outcomes(outcomes, labels, vocab_size)
+        writer.writerows(zip(map(labels.__getitem__,
+                                 outcomes.target_index.tolist()),
+                             outcomes.symbol_index.tolist()))
     with open(_contingency_path(path), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class"] + ["s%d" % v for v in range(vocab_size)])
-        for i, label in enumerate(labels):
-            writer.writerow([label] + [int(v) for v in table.counts[i]])
+        for label, row in zip(labels, table.counts.tolist()):
+            writer.writerow([label] + row)
     return table
 
 
 def load_symbol_distribution(path, labels, vocab_size):
-    """Rebuild a ContingencyTable from a long-form export."""
-    counts = np.zeros((len(labels), vocab_size), dtype=np.int64)
-    row = {c: i for i, c in enumerate(labels)}
+    """Rebuild a ContingencyTable from a long-form export; DataError names
+    the first line that is not a known class and a symbol in
+    [0, vocab_size) as the export writes them."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for cls, sym in reader:
-            counts[row[cls], int(sym)] += 1
-    return ContingencyTable(list(labels), counts)
+        header, *rows = list(csv.reader(fh)) or [[]]
+    if header != ["class", "symbol_index"]:
+        raise DataError("%s: the header must be class,symbol_index" % path)
+    index = {c: i for i, c in enumerate(labels)}
+    symbols = {str(s): s for s in range(vocab_size)}
+    for line, row in enumerate(rows, start=2):
+        if len(row) != 2 or row[0] not in index or row[1] not in symbols:
+            raise DataError("%s line %d: expected class,symbol_index with a "
+                            "class in %s and a symbol in [0, %d), got %r"
+                            % (path, line, list(labels), vocab_size,
+                               ",".join(row)))
+    return contingency([index[c] for c, _ in rows],
+                       [symbols[s] for _, s in rows], labels, vocab_size)

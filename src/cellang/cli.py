@@ -179,8 +179,7 @@ def cmd_eval(args):
     report = build_report(outcomes, split.concept_set, game_cfg.vocab_size)
     write_report(report, out / "report.txt")
     export_symbol_distribution(outcomes, out / "symbols.csv",
-                               labels=split.concept_set,
-                               vocab_size=game_cfg.vocab_size)
+                               split.concept_set, game_cfg.vocab_size)
     _write_manifest(out / "manifest.txt",
                     [("command", "eval"), ("checkpoint", args.checkpoint),
                      ("data", args.data), ("split", args.split),

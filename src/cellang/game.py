@@ -1,7 +1,7 @@
-"""Episode sampling and play of the referential game, one round or a batch
-of rounds at a time."""
+"""Episode sampling and batched play of the referential game."""
 
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,53 +12,50 @@ from .errors import ContractError, DataError
 
 @dataclass
 class Episode:
-    """K candidates (one record per concept, in concept order) as row indices
-    into the split's feature matrix, a target, and the order in which the
-    receiver will see the candidates. A batch of B episodes has a leading
-    axis of B on every field but `features`."""
+    """A batch of B episodes: per episode, K candidates (one record per
+    concept, in concept order, so the target's class is labels[target_index])
+    as row indices into the split's feature matrix, a target and the order in
+    which the receiver will see the candidates."""
     features: np.ndarray  # the split's (N, F) matrix, shared, not copied
-    rows: np.ndarray  # (K,) or (B, K)
-    target_index: int  # or (B,)
-    receiver_permutation: np.ndarray  # (K,) or (B, K)
-    target_label: str  # or (B,)
+    labels: list  # the split's K class names in concept order, shared
+    rows: np.ndarray  # (B, K)
+    target_index: np.ndarray  # (B,)
+    receiver_permutation: np.ndarray  # (B, K)
 
-    @property
-    def candidates(self):
-        """(K, F) or (B, K, F) candidate feature rows."""
-        return self.features[self.rows]
 
-    def __getitem__(self, index):
-        """The batch's episode at an int index, or a batch for a slice."""
-        return Episode(self.features, self.rows[index],
-                       self.target_index[index],
-                       self.receiver_permutation[index],
-                       self.target_label[index])
+Round = namedtuple("Round", "loss receiver_guess correct symbol_index "
+                             "target_label")
 
 
 @dataclass
 class RoundOutcome:
-    """One round's result; a batch's has one array entry per round."""
-    loss: float
-    receiver_guess: int
-    correct: bool
-    symbol_index: int
-    target_label: str
+    """A batch of rounds' results: a (B,) array per field but `labels`, the
+    class names in concept order. Iterating yields a Round per round."""
+    loss: np.ndarray
+    receiver_guess: np.ndarray
+    correct: np.ndarray
+    symbol_index: np.ndarray
+    target_index: np.ndarray  # the target's class index into labels
+    labels: list
 
-    def rows(self):
-        """A batch's outcome as one RoundOutcome of Python values per round."""
-        return [RoundOutcome(*row) for row in zip(
-            *(getattr(self, f.name).tolist() for f in fields(self)))]
+    def __len__(self):
+        return len(self.loss)
+
+    def __iter__(self):
+        return map(Round, self.loss.tolist(), self.receiver_guess.tolist(),
+                   self.correct.tolist(), self.symbol_index.tolist(),
+                   map(self.labels.__getitem__, self.target_index.tolist()))
 
 
-def sample_episode(split, cfg, rng, batch=None):
-    """Draw one record per concept, a uniform target and a uniform
-    permutation of the candidate slots shown to the receiver; with `batch`,
-    that many episodes as one batched Episode of index arrays.
+def sample_episode(split, cfg, rng, batch):
+    """Draw `batch` episodes as one Episode of index arrays: per episode,
+    one record per concept, a uniform target and a uniform permutation of
+    the candidate slots shown to the receiver.
 
     Each episode draws rng.integers(sizes) (one record per concept, in
     concept order), rng.integers(K) and rng.permutation(K), so episode b of
-    a batch is the episode the b-th unbatched call would draw, whatever the
-    batch size.
+    a batch is the b-th of a run of batch-of-1 draws, whatever the batch
+    size.
     """
     if len(split.concept_set) != cfg.n_concepts:
         raise ContractError("split has %d concepts, config expects %d"
@@ -67,36 +64,29 @@ def sample_episode(split, cfg, rng, batch=None):
     if not sizes.all():
         raise DataError("concept %r has no records in this split"
                         % split.concept_set[int(np.argmin(sizes))])
-    k, n = cfg.n_concepts, 1 if batch is None else batch
-    picks, perms = (np.empty((n, k), dtype=np.int64) for _ in range(2))
-    targets = np.empty(n, dtype=np.int64)
-    for b in range(n):
+    k = cfg.n_concepts
+    picks, perms = (np.empty((batch, k), dtype=np.int64) for _ in range(2))
+    targets = np.empty(batch, dtype=np.int64)
+    for b in range(batch):
         picks[b] = rng.integers(sizes)
         targets[b] = rng.integers(k)
         perms[b] = rng.permutation(k)
-    # An object array, so that outcome rows share the split's label strings.
-    labels = np.array(split.concept_set, dtype=object)[targets]
-    episodes = Episode(split.features, order[starts + picks], targets, perms,
-                       labels)
-    return episodes if batch is not None else episodes[0]
+    return Episode(split.features, split.concept_set, order[starts + picks],
+                   targets, perms)
 
 
 def play_round(episode, sender, receiver, cfg, rng, mode,
                temperature=None, noise=None):
-    """Play one round, or every round of a batched episode on one tape;
-    returns (outcome, tape, loss tensor). A batch's loss is the sum of its
-    rounds' losses, so its gradients are the sum of theirs.
+    """Play every round of a batched episode on one tape; returns
+    (RoundOutcome, tape, loss tensor). The loss is the sum of the rounds'
+    losses, so its gradients are the sum of theirs; `noise`, if given, is
+    the (B, V) Gumbel noise.
 
     The sender sees the candidates target-first (SENDER_SEES_ALL) or the
     target alone; the receiver sees the candidates under the episode's
     permutation and must point at the target's permuted position.
     """
     tape = ad.Tape()
-    batched = episode.rows.ndim == 2
-    if not batched:
-        episode = Episode(episode.features, *(
-            np.asarray(getattr(episode, f.name))[None]
-            for f in fields(episode)[1:]))
     t, perm, rows = (episode.target_index, episode.receiver_permutation,
                      episode.rows)
     rounds = np.arange(len(t))[:, None]
@@ -116,10 +106,7 @@ def play_round(episode, sender, receiver, cfg, rng, mode,
     loss = ad.nll_loss(tape, log_probs, target_pos)
     guess = log_probs.data.argmax(axis=1)
     outcome = RoundOutcome(
-        loss=-log_probs.data[rounds[:, 0], target_pos],
-        receiver_guess=guess,
-        correct=guess == target_pos,
-        symbol_index=symbol.data.argmax(axis=1),
-        target_label=episode.target_label,
-    )
-    return (outcome if batched else outcome.rows()[0]), tape, loss
+        loss=-log_probs.data[rounds[:, 0], target_pos], receiver_guess=guess,
+        correct=guess == target_pos, symbol_index=symbol.data.argmax(axis=1),
+        target_index=t, labels=episode.labels)
+    return outcome, tape, loss

@@ -3,7 +3,7 @@ single-file checkpointing with bit-exact resume."""
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .autodiff import backward
 from .data import DataConfig, fingerprint
 from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
-from .game import play_round, sample_episode
+from .game import RoundOutcome, play_round, sample_episode
 
 CHECKPOINT_VERSION = 3
 # Rounds per evaluation forward pass: about a training minibatch, so that
@@ -144,17 +144,19 @@ class Adam:
 
 
 def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
-    """Play n_episodes deterministic (hard-symbol) rounds, drawn at once and
-    played EVAL_BLOCK at a time; returns one RoundOutcome per round. The
-    blocks' tapes are dropped unwalked."""
-    episodes = sample_episode(split, game_cfg, np.random.default_rng(seed),
-                              n_episodes)
-    outcomes = []
-    for start in range(0, n_episodes, EVAL_BLOCK):
-        outcome, _, _ = play_round(episodes[start:start + EVAL_BLOCK], sender,
-                                   receiver, game_cfg, None, Mode.EVAL_HARD)
-        outcomes += outcome.rows()
-    return outcomes
+    """Play n_episodes deterministic (hard-symbol) rounds, drawn and played
+    EVAL_BLOCK at a time (the draws do not depend on the block size); return
+    one RoundOutcome of every round. The tapes are dropped unwalked."""
+    if n_episodes < 1:
+        raise ParameterError("n_episodes must be >= 1, got %d" % n_episodes)
+    rng = np.random.default_rng(seed)
+    blocks = [play_round(sample_episode(split, game_cfg, rng,
+                                        min(EVAL_BLOCK, n_episodes - start)),
+                         sender, receiver, game_cfg, None, Mode.EVAL_HARD)[0]
+              for start in range(0, n_episodes, EVAL_BLOCK)]
+    return RoundOutcome(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                          for f in fields(RoundOutcome)[:-1]),
+                        split.concept_set)
 
 
 def history_csv(history):

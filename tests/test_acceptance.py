@@ -17,7 +17,7 @@ from cellang.autodiff import Tape, Tensor, backward
 from cellang.cli import main
 from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, SyntheticSpec,
                           generate_synthetic, standardize, stratified_split)
-from cellang.game import play_round, sample_episode
+from cellang.game import RoundOutcome
 from cellang.training import TrainConfig, evaluate, train
 
 import conftest
@@ -443,11 +443,16 @@ def test_criterion_9_metric_oracles():
             ok &= got == (best_sym, best_count / counts[i].sum())
 
         # brute-force used fraction from a reconstructed outcome log
-        outcomes = []
-        from cellang.game import RoundOutcome
-        for i, label in enumerate(labels):
+        classes, symbols = [], []
+        for i in range(k):
             for s in range(v):
-                outcomes += [RoundOutcome(0.0, 0, True, s, label)] * counts[i][s]
+                classes += [i] * counts[i][s]
+                symbols += [s] * counts[i][s]
+        n = len(symbols)
+        outcomes = RoundOutcome(np.zeros(n), np.zeros(n, dtype=np.int64),
+                                np.ones(n, dtype=bool),
+                                np.array(symbols, dtype=np.int64),
+                                np.array(classes, dtype=np.int64), labels)
         distinct = set()
         for o in outcomes:
             distinct.add(o.symbol_index)

@@ -6,20 +6,27 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cellang.analysis import (ContingencyTable, build_report,
-                              contingency_from_outcomes,
+from cellang.analysis import (ContingencyTable, build_report, contingency,
                               export_symbol_distribution,
                               identification_accuracy,
                               load_symbol_distribution, majority_symbols,
                               mutual_information_bits, symbols_used_fraction,
                               write_report)
-from cellang.errors import ContractError
+from cellang.errors import ContractError, DataError
 from cellang.game import RoundOutcome
 
 
-def outcome(correct=True, symbol=0, label="a"):
-    return RoundOutcome(loss=0.5, receiver_guess=0, correct=correct,
-                        symbol_index=symbol, target_label=label)
+def outcomes(symbols, classes=None, correct=None, labels=("a", "b")):
+    """A columnar outcome of len(symbols) rounds; `classes` are indices
+    into `labels` (default all 0), `correct` defaults to all True."""
+    n = len(symbols)
+    return RoundOutcome(
+        loss=np.full(n, 0.5), receiver_guess=np.zeros(n, dtype=np.int64),
+        correct=np.array([True] * n if correct is None else correct),
+        symbol_index=np.array(symbols, dtype=np.int64),
+        target_index=np.array([0] * n if classes is None else classes,
+                              dtype=np.int64),
+        labels=list(labels))
 
 
 def mi_oracle(counts):
@@ -39,28 +46,28 @@ def mi_oracle(counts):
 
 class TestIdentificationAccuracy:
     def test_all_correct(self):
-        assert identification_accuracy([outcome(True)] * 10) == 1.0
+        assert identification_accuracy(outcomes([0] * 10)) == 1.0
 
     def test_half(self):
-        outs = [outcome(True), outcome(False), outcome(False), outcome(True)]
-        assert identification_accuracy(outs) == 0.5
+        outs = outcomes([0] * 4, correct=[True, False, False, True])
+        accuracy = identification_accuracy(outs)
+        assert accuracy == 0.5 and type(accuracy) is float
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            identification_accuracy([])
+            identification_accuracy(outcomes([]))
 
 
 class TestSymbolsUsedFraction:
     def test_basic(self):
-        outs = [outcome(symbol=s) for s in (3, 3, 7, 42)]
-        assert symbols_used_fraction(outs, 100) == 0.03
+        fraction = symbols_used_fraction(outcomes([3, 3, 7, 42]), 100)
+        assert fraction == 0.03 and type(fraction) is float
 
     def test_single_symbol(self):
-        assert symbols_used_fraction([outcome(symbol=9)] * 50, 100) == 0.01
+        assert symbols_used_fraction(outcomes([9] * 50), 100) == 0.01
 
     def test_all_symbols(self):
-        outs = [outcome(symbol=s) for s in range(100)]
-        assert symbols_used_fraction(outs, 100) == 1.0
+        assert symbols_used_fraction(outcomes(range(100)), 100) == 1.0
 
 
 class TestMajoritySymbols:
@@ -149,11 +156,35 @@ class TestMutualInformation:
 
 class TestContingency:
     def test_counts_and_row_sums(self):
-        outs = ([outcome(symbol=1, label="a")] * 3
-                + [outcome(symbol=2, label="b")] * 5)
-        table = contingency_from_outcomes(outs, ["a", "b"], 4)
+        table = contingency([0] * 3 + [1] * 5, [1] * 3 + [2] * 5, ["a", "b"],
+                            4)
         assert table.total == 8
         assert list(table.counts.sum(axis=1)) == [3, 5]
+        assert table.counts[0, 1] == 3 and table.counts[1, 2] == 5
+
+    def test_matches_loop_over_rounds(self):
+        # Reference: one increment per round, the loop the bincount replaced.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            k, v = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+            n = int(rng.integers(0, 200))
+            classes, symbols = rng.integers(k, size=n), rng.integers(v, size=n)
+            expected = np.zeros((k, v), dtype=np.int64)
+            for c, s in zip(classes, symbols):
+                expected[c, s] += 1
+            labels = [str(i) for i in range(k)]
+            table = contingency(classes, symbols, labels, v)
+            assert table.labels == labels
+            assert np.array_equal(table.counts, expected)
+
+    @pytest.mark.parametrize("symbol", [-1, 4])
+    def test_symbol_out_of_range_rejected(self, symbol):
+        with pytest.raises(ContractError):
+            contingency([1, 0], [0, symbol], ["a", "b"], 4)
+
+    def test_report_rejects_other_class_order(self):
+        with pytest.raises(ContractError, match="classes"):
+            build_report(outcomes([0, 1]), ["b", "a"], 4)
 
     def test_purity_invariant_under_symbol_relabeling(self):
         rng = np.random.default_rng(3)
@@ -173,23 +204,41 @@ class TestContingency:
 class TestExport:
     def test_row_counts_and_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
-        outs = [outcome(symbol=int(rng.integers(10)),
-                        label=["a", "b"][int(rng.integers(2))])
-                for _ in range(1000)]
+        outs = outcomes(rng.integers(10, size=1000),
+                        classes=rng.integers(2, size=1000))
         path = tmp_path / "symbols.csv"
-        table = export_symbol_distribution(outs, path, labels=["a", "b"],
-                                           vocab_size=10)
+        table = export_symbol_distribution(outs, path, ["a", "b"], 10)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1001
+        assert lines[1:] == ["%s,%d" % (o.target_label, o.symbol_index)
+                             for o in outs]
         assert table.total == 1000
         back = load_symbol_distribution(path, ["a", "b"], 10)
         assert np.array_equal(back.counts, table.counts)
         matrix = (tmp_path / "symbols_contingency.csv").read_text()
         assert matrix.count("\n") == 3  # header + one row per class
 
+    @pytest.mark.parametrize("row", ["a,-1", "a,10", "x,1", "a", "a,1,2",
+                                     "a,one", "", "a," + "9" * 5000],
+                             ids=["-1", "10", "class", "one field",
+                                  "three fields", "word", "empty", "5000"])
+    def test_malformed_row_names_line(self, tmp_path, row):
+        # A symbol of -1 used to be counted silently as symbol V - 1.
+        path = tmp_path / "symbols.csv"
+        path.write_text("class,symbol_index\nb,3\n%s\na,0\n" % row)
+        with pytest.raises(DataError, match="line 3"):
+            load_symbol_distribution(path, ["a", "b"], 10)
+
+    @pytest.mark.parametrize("text", ["", "a,1\nb,2\n"])
+    def test_missing_header_rejected(self, tmp_path, text):
+        path = tmp_path / "symbols.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="header"):
+            load_symbol_distribution(path, ["a", "b"], 10)
+
     def test_report_file_mirrors_fields(self, tmp_path):
-        outs = ([outcome(True, symbol=1, label="a")] * 4
-                + [outcome(False, symbol=2, label="b")] * 4)
+        outs = outcomes([1] * 4 + [2] * 4, classes=[0] * 4 + [1] * 4,
+                        correct=[True] * 4 + [False] * 4)
         report = build_report(outs, ["a", "b"], 4)
         path = tmp_path / "report.txt"
         write_report(report, path)

@@ -262,6 +262,32 @@ class TestEval:
         assert (evs[0] / "symbols.csv").read_bytes() == \
             (evs[1] / "symbols.csv").read_bytes()
 
+    def test_written_numbers_are_python_floats(self, tiny_run):
+        # '%r' of a numpy scalar reads np.float64(...) on numpy 2, so a
+        # metric that leaks as a numpy scalar changes the files' bytes.
+        tmp_path, data, _, out = tiny_run
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--data", str(data), "--episodes", "50",
+                     "--out", str(ev)]) == 0
+        history = (out / "history.csv").read_text()
+        report = (ev / "report.txt").read_text()
+        assert "np." not in history and "np." not in report
+        header, *rows = history.splitlines()
+        assert header == "epoch,train_loss,val_accuracy,temperature"
+        assert len(rows) == 2
+        for row in rows:
+            epoch, *values = row.split(",")
+            int(epoch)
+            for value in values:
+                assert repr(float(value)) == value
+        for line in report.splitlines():
+            key, value = line.split("=")
+            if key.startswith(("majority_symbol.", "contingency.")):
+                [int(v) for v in value.split(",")]
+            else:
+                assert repr(float(value)) == value, key
+
     def test_non_positive_episodes_usage_error(self, tiny_run, capsys):
         tmp_path, data, _, out = tiny_run
         for flag, value in (("--episodes", "0"), ("--episodes", "-5"),

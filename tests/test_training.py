@@ -168,25 +168,36 @@ class TestEvaluate:
         sender, receiver = init_params(cfg, 0)
         a = evaluate(sender, receiver, test_s, cfg, 50, seed=5)
         b = evaluate(sender, receiver, test_s, cfg, 50, seed=5)
-        assert a == b
+        assert list(a) == list(b)
 
     def test_blocks_match_single_rounds(self, tiny_setup):
         # Three blocks, the last one partial, against the same episodes
-        # played one at a time.
+        # drawn and played one at a time (batches of 1).
         cfg, _, _, test_s = tiny_setup
         sender, receiver = init_params(cfg, 3)
         n = 2 * EVAL_BLOCK + 5
         outcomes = evaluate(sender, receiver, test_s, cfg, n, seed=6)
-        episodes = sample_episode(test_s, cfg, np.random.default_rng(6), n)
+        rng = np.random.default_rng(6)
         assert len(outcomes) == n
-        for b, o in enumerate(outcomes):
-            ref, _, _ = play_round(episodes[b], sender, receiver, cfg, None,
-                                   Mode.EVAL_HARD)
+        for name in ("loss", "receiver_guess", "correct", "symbol_index",
+                     "target_index"):
+            assert getattr(outcomes, name).shape == (n,), name
+        for o in outcomes:
+            ref_outcome, _, _ = play_round(sample_episode(test_s, cfg, rng, 1),
+                                           sender, receiver, cfg, None,
+                                           Mode.EVAL_HARD)
+            (ref,) = ref_outcome
             assert (o.receiver_guess, o.correct, o.symbol_index,
                     o.target_label) == (ref.receiver_guess, ref.correct,
                                         ref.symbol_index, ref.target_label)
             assert abs(o.loss - ref.loss) <= 1e-12 * max(1.0, ref.loss)
             assert type(o.loss) is float and type(o.target_label) is str
+
+    def test_no_rounds_rejected(self, tiny_setup):
+        cfg, _, _, test_s = tiny_setup
+        sender, receiver = init_params(cfg, 0)
+        with pytest.raises(ParameterError, match="n_episodes"):
+            evaluate(sender, receiver, test_s, cfg, 0, seed=0)
 
     def test_symbol_indices_in_vocab(self, tiny_setup):
         cfg, _, _, test_s = tiny_setup
