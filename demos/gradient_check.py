@@ -13,12 +13,12 @@ import numpy as np
 from cellang.agents import GameConfig, Variant, init_params, named_params
 from cellang.autodiff import backward, sample_gumbel
 from cellang.data import SyntheticSpec, generate_synthetic
-from cellang.game import Mode, play_round, sample_episode
+from cellang.game import play_round, sample_episode
 
 
 def round_loss(episode, sender, receiver, cfg, noise):
-    _, tape, loss = play_round(episode, sender, receiver, cfg, None,
-                               Mode.TRAIN_SOFT, temperature=1.0, noise=noise)
+    _, tape, loss = play_round(episode, sender, receiver, cfg, cfg.temperature,
+                               noise=noise)
     return tape, loss
 
 

@@ -3,7 +3,7 @@ end-to-end through a Gumbel-softmax discrete channel."""
 
 __version__ = "0.1.0"
 
-from .agents import (GameConfig, Mode, ReceiverParams, SenderParams, Variant,
+from .agents import (GameConfig, ReceiverParams, SenderParams, Variant,
                      init_params, receiver_forward, sender_forward)
 from .analysis import (ContingencyTable, LanguageReport, build_report,
                        contingency, identification_accuracy, majority_symbols,

@@ -25,11 +25,6 @@ class Variant(enum.Enum):
     SENDER_SEES_TARGET = "sender-sees-target"
 
 
-class Mode(enum.Enum):
-    TRAIN_SOFT = "train-soft"
-    EVAL_HARD = "eval-hard"
-
-
 class ConfigFields:
     """`to_dict`/`from_dict` over a config dataclass's fields, which must
     all be finite; `from_dict` requires every field."""
@@ -164,16 +159,17 @@ def init_params(cfg, seed):
     return sender, receiver
 
 
-def sender_forward(tape, params, cfg, inputs, mode, rng=None,
-                   temperature=None, noise=None):
+def sender_forward(tape, params, cfg, inputs, temperature=None, rng=None,
+                   noise=None):
     """Produce a symbol over the vocabulary from the sender's view.
 
     `inputs` holds K feature rows (target first) or just the target,
     depending on the game variant: an (n, F) matrix or a list of rows for
     one round, or a (B, n, F) array for a batch of B rounds. Returns
-    (symbol, logits), (V,) or (B, V); in EVAL_HARD mode the symbol is the
-    deterministic one-hot argmax of the logits (lowest index on ties) and
-    no noise is drawn.
+    (symbol, logits), (V,) or (B, V). With no `temperature` the symbol is
+    the one-hot argmax of the logits (lowest index on ties) and no noise is
+    drawn; otherwise it is a Gumbel-softmax sample at that temperature, its
+    noise drawn from `rng` or given as `noise`.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 2 or inputs.shape[-2] != cfg.sender_inputs():
@@ -188,12 +184,11 @@ def sender_forward(tape, params, cfg, inputs, mode, rng=None,
         tape, ad.conv1d(tape, seq, params.conv_kernels, params.conv_bias))
     flat = ad.reshape(tape, feature_maps, lead + (cfg.flattened_conv_len(),))
     logits = ad.linear(tape, flat, params.out_weight, params.out_bias)
-    if mode is Mode.EVAL_HARD:
+    if temperature is None:
         symbol = Tensor(ad.one_hot(logits.data.argmax(axis=-1), cfg.vocab_size))
     else:
-        tau = cfg.temperature if temperature is None else temperature
-        symbol = ad.gumbel_softmax(tape, logits, tau, hard=False,
-                                   rng=rng, noise=noise)
+        symbol = ad.gumbel_softmax(tape, logits, temperature, rng=rng,
+                                   noise=noise)
     return symbol, logits
 
 

@@ -38,9 +38,9 @@ def _bool(s):
 def _converters(config_cls):
     """key -> converter for a config dataclass: the type of the field's
     default, except for None (_opt_int), bool and tuple defaults, whose
-    types would read "false" as True and "a,b" as characters."""
+    types would read "false" as True and "a,b" as characters ("" is ())."""
     special = {type(None): _opt_int, bool: _bool,
-               tuple: lambda s: tuple(v for v in s.split(",") if v)}
+               tuple: lambda s: tuple(s.split(",")) if s else ()}
     return {f.name: special.get(type(f.default), type(f.default))
             for f in fields(config_cls)}
 

@@ -16,7 +16,7 @@ from .errors import ContractError, DataError, ParameterError
 DEFAULT_LABELS = ("CD3", "CD20", "CD68", "Claudin1", "Negative")
 DEFAULT_COUNTS = (138, 132, 177, 391, 3287)
 SPLIT_NAMES = ("train", "val", "test")
-FEATURES_PER_BLOCK = 7
+SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
 
 
 @dataclass
@@ -61,14 +61,16 @@ class SyntheticSpec:
     def __post_init__(self):
         if len(self.n_per_class) != len(self.labels):
             raise DataError("n_per_class and labels lengths differ")
+        _check_labels(self.labels, DataError)
         if any(n < 1 for n in self.n_per_class):
             raise DataError("all class counts must be positive")
         if not 0 < self.noise_sigma < math.inf:
             raise DataError("noise_sigma must be finite and > 0")
         if not 0 <= self.class_separation < math.inf:
             raise DataError("class_separation must be finite and >= 0")
-        if self.feature_dim < 1:
-            raise DataError("feature_dim must be >= 1")
+        min_dim = max(1, len(self.labels) - 1)  # a block per non-null class
+        if self.feature_dim < min_dim:
+            raise DataError("feature_dim must be >= %d" % min_dim)
         if self.seed < 0:
             raise DataError("seed must be >= 0")
 
@@ -86,6 +88,14 @@ class DataConfig(ConfigFields):
         if self.split_seed < 0:
             raise ParameterError("split_seed must be >= 0")
         self.labels = tuple(self.labels)  # JSON restores a list
+        _check_labels(self.labels, ParameterError)
+
+
+def _check_labels(labels, error):
+    """Raise `error` for an empty or repeated class label."""
+    if "" in labels or len(set(labels)) < len(labels):
+        raise error("class labels must be distinct and non-empty, got %r"
+                    % (tuple(labels),))
 
 
 def _feature_columns(n):
@@ -96,8 +106,11 @@ def load_table(path, concepts=None, feature_dim=None):
     """Read a `label,f00,...` CSV into a Dataset.
 
     When `concepts` is given, labels outside it are rejected; otherwise the
-    concept set is the labels in order of first appearance.
+    concept set is the labels in order of first appearance. `concepts` must
+    not hold an empty or repeated label.
     """
+    if concepts is not None:
+        _check_labels(concepts, DataError)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -164,8 +177,8 @@ def _apportion(quotas, total):
     return counts
 
 
-def stratified_split(dataset, fractions=(0.64, 0.16, 0.20), seed=0):
-    """Per-class stratified train/val/test partition.
+def stratified_split(dataset, seed=0):
+    """Per-class stratified train/val/test partition by SPLIT_FRACTIONS.
 
     Train and val take floor(fraction * class size) per class; the handful
     of seats left by flooring are topped up largest-remainder so the global
@@ -173,17 +186,16 @@ def stratified_split(dataset, fractions=(0.64, 0.16, 0.20), seed=0):
     test. Splits are disjoint and exhaustive. A class that would get no
     record in some split is a DataError.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractError("split fractions must sum to 1")
     counts = {c: len(dataset.by_label(c)) for c in dataset.concept_set}
     if not counts:
         raise DataError("dataset has no classes")
     n_total = len(dataset)
-    totals = _apportion([f * n_total for f in fractions], n_total)
+    totals = _apportion([f * n_total for f in SPLIT_FRACTIONS], n_total)
     classes = dataset.concept_set
-    train_c = _apportion([fractions[0] * counts[c] for c in classes], totals[0])
+    train_f, val_f, _ = SPLIT_FRACTIONS
+    train_c = _apportion([train_f * counts[c] for c in classes], totals[0])
     # Cap val so train + val never exceeds the class size.
-    val_c = _apportion([fractions[1] * counts[c] for c in classes], totals[1])
+    val_c = _apportion([val_f * counts[c] for c in classes], totals[1])
     for i, c in enumerate(classes):
         overflow = train_c[i] + val_c[i] - counts[c]
         if overflow > 0:
@@ -215,7 +227,8 @@ def fingerprint(*splits):
 
 
 def standardize(train, *others):
-    """Per-feature z-scoring fitted on the training split only.
+    """Per-feature z-scoring fitted on the training split only; returns a
+    tuple of the standardized splits, in the order given.
 
     Near-constant features (std < 1e-12) are centered but not divided.
     Re-standardizing an already standardized split is a contract violation.
@@ -228,25 +241,25 @@ def standardize(train, *others):
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
     divisor = np.where(std < 1e-12, 1.0, std)
-    out = tuple(Dataset((ds.features - mean) / divisor, ds.labels,
-                        list(ds.concept_set),
-                        standardization=(mean.copy(), std.copy()))
-                for ds in (train,) + others)
-    return out[0] if not others else out
+    return tuple(Dataset((ds.features - mean) / divisor, ds.labels,
+                         list(ds.concept_set),
+                         standardization=(mean.copy(), std.copy()))
+                 for ds in (train,) + others)
 
 
 def generate_synthetic(spec):
-    """Gaussian mixture stand-in: class c elevates feature block
-    [7c, 7c+7) by the separation delta; the final (null) class has an
-    all-zero mean. Deterministic given the seed."""
+    """Gaussian mixture stand-in: with K classes and F features, class
+    c < K - 1 elevates feature block [wc, wc + w) by the separation delta,
+    where w = F // (K - 1) (7 for the default 5 classes and 28 features);
+    the final (null) class has an all-zero mean, as do features past the
+    last block. Deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
+    width = spec.feature_dim // max(len(spec.labels) - 1, 1)
     blocks = []
     for c, n in enumerate(spec.n_per_class):
         mu = np.zeros(spec.feature_dim)
-        block = c * FEATURES_PER_BLOCK
-        is_null = c == len(spec.labels) - 1
-        if not is_null and block + FEATURES_PER_BLOCK <= spec.feature_dim:
-            mu[block:block + FEATURES_PER_BLOCK] = spec.class_separation
+        if c < len(spec.labels) - 1:
+            mu[c * width:(c + 1) * width] = spec.class_separation
         blocks.append(rng.normal(mu, spec.noise_sigma,
                                  size=(n, spec.feature_dim)))
     labels = np.repeat(np.array(spec.labels, dtype=str), spec.n_per_class)

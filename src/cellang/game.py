@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .agents import Mode, Variant, receiver_forward, sender_forward
+from .agents import Variant, receiver_forward, sender_forward
 from .errors import ContractError, DataError
 
 
@@ -75,12 +75,13 @@ def sample_episode(split, cfg, rng, batch):
                    targets, perms)
 
 
-def play_round(episode, sender, receiver, cfg, rng, mode,
-               temperature=None, noise=None):
+def play_round(episode, sender, receiver, cfg, temperature=None, rng=None,
+               noise=None):
     """Play every round of a batched episode on one tape; returns
     (RoundOutcome, tape, loss tensor). The loss is the sum of the rounds'
-    losses, so its gradients are the sum of theirs; `noise`, if given, is
-    the (B, V) Gumbel noise.
+    losses, so its gradients are the sum of theirs. With no `temperature`
+    the sender sends its argmax symbol; otherwise a Gumbel-softmax sample at
+    that temperature, with (B, V) noise drawn from `rng` or given as `noise`.
 
     The sender sees the candidates target-first (SENDER_SEES_ALL) or the
     target alone; the receiver sees the candidates under the episode's
@@ -98,8 +99,8 @@ def play_round(episode, sender, receiver, cfg, rng, mode,
     else:
         order = t[:, None]
     symbol, _logits = sender_forward(
-        tape, sender, cfg, episode.features[rows[rounds, order]], mode,
-        rng=rng, temperature=temperature, noise=noise)
+        tape, sender, cfg, episode.features[rows[rounds, order]],
+        temperature, rng, noise)
     log_probs = receiver_forward(tape, receiver, cfg, symbol,
                                  episode.features[rows[rounds, perm]])
     target_pos = (perm == t[:, None]).argmax(axis=1)

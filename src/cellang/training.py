@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .agents import ConfigFields, GameConfig, Mode, init_params, named_params
+from .agents import ConfigFields, GameConfig, init_params, named_params
 from .analysis import identification_accuracy
 from .autodiff import backward
 from .data import DataConfig, fingerprint
@@ -152,7 +152,7 @@ def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
     rng = np.random.default_rng(seed)
     blocks = [play_round(sample_episode(split, game_cfg, rng,
                                         min(EVAL_BLOCK, n_episodes - start)),
-                         sender, receiver, game_cfg, None, Mode.EVAL_HARD)[0]
+                         sender, receiver, game_cfg)[0]
               for start in range(0, n_episodes, EVAL_BLOCK)]
     return RoundOutcome(*(np.concatenate([getattr(b, f.name) for b in blocks])
                           for f in fields(RoundOutcome)[:-1]),
@@ -242,8 +242,8 @@ def train(train_split, val_split, game_cfg, train_cfg,
             episodes = sample_episode(train_split, cfg, state.episode_rng,
                                       batch)
             outcome, tape, loss = play_round(
-                episodes, state.sender, state.receiver, cfg,
-                state.gumbel_rng, Mode.TRAIN_SOFT, temperature=tau)
+                episodes, state.sender, state.receiver, cfg, tau,
+                state.gumbel_rng)
             if not np.isfinite(outcome.loss).all():
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, state)
@@ -337,7 +337,7 @@ def load_checkpoint(path):
         return _restore_state(meta, arrays)
     except KeyError as exc:
         raise CheckpointError("checkpoint %s is missing %s" % (path, exc))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError("checkpoint %s is invalid: %s" % (path, exc))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cellang import autodiff as ad
-from cellang.agents import GameConfig, Mode, init_params, named_params
+from cellang.agents import GameConfig, init_params, named_params
 from cellang.analysis import (ContingencyTable, build_report,
                               identification_accuracy, majority_symbols,
                               mutual_information_bits, symbols_used_fraction)
@@ -223,7 +223,7 @@ def test_criterion_1_gradient_correctness(small_cfg):
 
         def sender_forward_frozen(tape, s, cfg, inputs, frozen):
             from cellang.agents import sender_forward
-            return sender_forward(tape, s, cfg, inputs, Mode.TRAIN_SOFT,
+            return sender_forward(tape, s, cfg, inputs, cfg.temperature,
                                   noise=frozen)
 
         tape, loss = composite_loss()
@@ -260,7 +260,7 @@ def test_criterion_1_gradient_correctness(small_cfg):
         def batch_loss():
             tape = Tape()
             symbol, _ = sender_forward(tape, sender, small_cfg, feats,
-                                       Mode.TRAIN_SOFT, noise=noise)
+                                       small_cfg.temperature, noise=noise)
             lp = receiver_forward(tape, receiver, small_cfg, symbol, feats)
             return tape, ad.nll_loss(tape, lp, targets)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cellang import autodiff as ad
-from cellang.agents import (GameConfig, Mode, Variant, init_params,
-                            named_params, receiver_forward, sender_forward)
+from cellang.agents import (GameConfig, Variant, init_params, named_params,
+                            receiver_forward, sender_forward)
 from cellang.autodiff import Tape, Tensor, backward
 from cellang.errors import ContractError, ParameterError
 
@@ -82,10 +82,8 @@ class TestSenderForward:
         rng = np.random.default_rng(0)
         sender, _ = init_params(small_cfg, 0)
         inputs = random_inputs(small_cfg, rng)
-        sym1, _ = sender_forward(Tape(), sender, small_cfg, inputs,
-                                 Mode.EVAL_HARD)
-        sym2, _ = sender_forward(Tape(), sender, small_cfg, inputs,
-                                 Mode.EVAL_HARD)
+        sym1, _ = sender_forward(Tape(), sender, small_cfg, inputs)
+        sym2, _ = sender_forward(Tape(), sender, small_cfg, inputs)
         assert sorted(sym1.data) == [0.0] * (small_cfg.vocab_size - 1) + [1.0]
         assert np.array_equal(sym1.data, sym2.data)
 
@@ -94,7 +92,7 @@ class TestSenderForward:
         sender, _ = init_params(small_cfg, 0)
         sym, _ = sender_forward(Tape(), sender, small_cfg,
                                 random_inputs(small_cfg, rng),
-                                Mode.TRAIN_SOFT, rng=rng)
+                                small_cfg.temperature, rng)
         assert abs(sym.data.sum() - 1.0) < 1e-10
 
     def test_zero_params_tie_breaks_to_lowest_index(self, small_cfg):
@@ -103,8 +101,7 @@ class TestSenderForward:
             tensor.data = np.zeros_like(tensor.data)
         rng = np.random.default_rng(2)
         sym, logits = sender_forward(Tape(), sender, small_cfg,
-                                     random_inputs(small_cfg, rng),
-                                     Mode.EVAL_HARD)
+                                     random_inputs(small_cfg, rng))
         assert np.all(logits.data == 0)
         assert sym.data[0] == 1.0
 
@@ -113,8 +110,7 @@ class TestSenderForward:
         rng = np.random.default_rng(3)
         with pytest.raises(ContractError):
             sender_forward(Tape(), sender, small_cfg,
-                           random_inputs(small_cfg, rng, n=1),
-                           Mode.EVAL_HARD)
+                           random_inputs(small_cfg, rng, n=1))
 
 
 class TestReceiverForward:
@@ -165,7 +161,7 @@ class TestEndToEnd:
         tape = Tape()
         inputs = random_inputs(small_cfg, rng)
         symbol, _ = sender_forward(tape, sender, small_cfg, inputs,
-                                   Mode.TRAIN_SOFT, rng=rng)
+                                   small_cfg.temperature, rng)
         log_probs = receiver_forward(tape, receiver, small_cfg, symbol,
                                      random_inputs(small_cfg, rng,
                                                    n=small_cfg.n_concepts))
@@ -180,7 +176,7 @@ class TestEndToEnd:
         rng = np.random.default_rng(9)
         inputs = random_inputs(small_cfg, rng)
         a, _ = sender_forward(Tape(), sender, small_cfg, inputs,
-                              Mode.EVAL_HARD, rng=np.random.default_rng(0))
+                              rng=np.random.default_rng(0))
         b, _ = sender_forward(Tape(), sender, small_cfg, inputs,
-                              Mode.EVAL_HARD, rng=np.random.default_rng(999))
+                              rng=np.random.default_rng(999))
         assert np.array_equal(a.data, b.data)

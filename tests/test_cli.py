@@ -99,8 +99,12 @@ class TestGenData:
             assert "config error:" in capsys.readouterr().err
 
     def test_invalid_spec_usage_error(self, tmp_path, capsys):
+        # The last three: a repeated label, an empty one, and fewer features
+        # than non-null classes (no room for a block each).
         for flag, value in (("--sigma", "nan"), ("--delta", "inf"),
-                            ("--feature-dim", "-1"), ("--seed", "-1")):
+                            ("--feature-dim", "-1"), ("--seed", "-1"),
+                            ("--labels", "a,a,b"), ("--labels", "a,,b"),
+                            ("--feature-dim", "1")):
             out = tmp_path / "x.csv"
             code = main(GEN_ARGS + [flag, value, "--out", str(out)])
             assert code == 1, flag
@@ -141,7 +145,8 @@ class TestTrain:
         for bad in ("train.episodes_per_epoch=0", "train.epsilon=inf",
                     "train.learning_rate=nan", "train.learning_rate=inf",
                     "game.temperature=nan", "train.seed=-1",
-                    "train.init_seed=-3", "data.split_seed=-1"):
+                    "train.init_seed=-3", "data.split_seed=-1",
+                    "data.labels=a,b,c,a", "data.labels=a,,b,c"):
             cfg.write_text(TINY_CONFIG + bad + "\n")
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(tmp_path / "o")]) == 1, bad

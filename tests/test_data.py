@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, Dataset,
-                          SyntheticSpec, generate_synthetic, load_table,
-                          save_table, standardize, stratified_split)
-from cellang.errors import ContractError, DataError
+from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, SPLIT_FRACTIONS,
+                          DataConfig, Dataset, SyntheticSpec,
+                          generate_synthetic, load_table, save_table,
+                          standardize, stratified_split)
+from cellang.errors import ContractError, DataError, ParameterError
 
 
 def make_dataset(counts, labels, seed=0, dim=4):
@@ -50,6 +51,13 @@ class TestLoadTable:
         path.write_text("label,f00\nweird,1.0\n")
         with pytest.raises(DataError, match="'weird'"):
             load_table(path, concepts=["a", "b"])
+
+    @pytest.mark.parametrize("concepts", [("a", "b", "a"), ("a", "", "b")])
+    def test_repeated_or_empty_concept_rejected(self, tmp_path, concepts):
+        path = tmp_path / "t.csv"
+        path.write_text("label,f00\na,1.0\nb,2.0\n")
+        with pytest.raises(DataError, match="distinct and non-empty"):
+            load_table(path, concepts=concepts)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -127,14 +135,9 @@ class TestStratifiedSplit:
         for split, again in zip(splits, stratified_split(ds, seed=seed)):
             assert np.array_equal(split.features, again.features)
             assert np.array_equal(split.labels, again.labels)
-        for fraction, split in zip((0.64, 0.16, 0.20), splits):
+        for fraction, split in zip(SPLIT_FRACTIONS, splits):
             assert abs(len(split) - fraction * len(ds)) < 1
             assert all(len(split.by_label(c)) for c in ds.concept_set)
-
-    def test_fractions_must_sum_to_one(self):
-        ds = make_dataset((20, 30), ("a", "b"))
-        with pytest.raises(ContractError):
-            stratified_split(ds, fractions=(0.5, 0.2, 0.2))
 
 
 class TestStandardize:
@@ -149,7 +152,7 @@ class TestStandardize:
     def test_constant_feature_centered_only(self):
         features = np.stack([np.full(10, 3.0), np.arange(10.0)], axis=1)
         ds = Dataset(features, np.array(["a"] * 10), ["a"])
-        out = standardize(ds)
+        (out,) = standardize(ds)
         x = out.features
         assert np.all(x[:, 0] == 0.0)
 
@@ -160,14 +163,14 @@ class TestStandardize:
     def test_train_mean_zero_and_no_second_pass(self, features):
         # Integer values keep every non-constant column's std >= 0.18.
         ds = Dataset(features, np.array(["a"] * len(features)), ["a"])
-        out = standardize(ds)
+        (out,) = standardize(ds)
         assert np.all(np.abs(out.features.mean(axis=0)) < 1e-9)
         with pytest.raises(ContractError):
             standardize(out)
 
     def test_double_standardize_forbidden(self):
         ds = make_dataset((10,), ("a",))
-        out = standardize(ds)
+        (out,) = standardize(ds)
         with pytest.raises(ContractError):
             standardize(out)
 
@@ -226,6 +229,29 @@ class TestGenerateSynthetic:
             SyntheticSpec(noise_sigma=0.0)
         for bad in (dict(noise_sigma=float("nan")),
                     dict(class_separation=float("inf")),
-                    dict(feature_dim=-1), dict(seed=-1)):
+                    dict(feature_dim=-1), dict(seed=-1), dict(feature_dim=3),
+                    dict(labels=("a", "b", "c", "d", "a")),
+                    dict(labels=("a", "b", "", "d", "e"))):
             with pytest.raises(DataError):
                 SyntheticSpec(**bad)
+
+    @pytest.mark.parametrize("labels, dim, width", [
+        (("a", "b", "c"), 6, 3),  # 6 // 2: each of a and b gets a block
+        (DEFAULT_LABELS, 28, 7)])  # the default table
+    def test_each_class_raised_on_its_own_block(self, labels, dim, width):
+        spec = SyntheticSpec(n_per_class=(2000,) * len(labels), labels=labels,
+                             feature_dim=dim, class_separation=4.0, seed=0)
+        ds = generate_synthetic(spec)
+        for c, label in enumerate(labels):
+            expected = np.zeros(dim)
+            if c < len(labels) - 1:  # the last (null) class is raised nowhere
+                expected[width * c:width * (c + 1)] = 4.0
+            mean = ds.features[ds.by_label(label)].mean(axis=0)
+            assert np.abs(mean - expected).max() < 0.1, label
+
+
+class TestDataConfig:
+    @pytest.mark.parametrize("labels", [("a", "b", "a"), ("a", "", "b")])
+    def test_repeated_or_empty_label_rejected(self, labels):
+        with pytest.raises(ParameterError, match="distinct and non-empty"):
+            DataConfig(labels=labels)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cellang import autodiff as ad
-from cellang.agents import GameConfig, Mode, init_params, named_params
+from cellang.agents import GameConfig, init_params, named_params
 from cellang.autodiff import backward
 from cellang.data import Dataset, SyntheticSpec, generate_synthetic
 from cellang.errors import ContractError, DataError
@@ -95,8 +95,7 @@ class TestPlayRound:
         for tensor in receiver.named().values():
             tensor.data = np.zeros_like(tensor.data)
         ep = sample_episode(split3, small_cfg, rng, 8)
-        outcome, _, _ = play_round(ep, sender, receiver, small_cfg, rng,
-                                   Mode.EVAL_HARD)
+        outcome, _, _ = play_round(ep, sender, receiver, small_cfg)
         assert np.abs(outcome.loss - np.log(3)).max() < 1e-12
 
     def test_chance_level_for_random_agents(self, small_cfg, split3):
@@ -107,26 +106,23 @@ class TestPlayRound:
             rng = np.random.default_rng(3)
             sender, receiver = init_params(small_cfg, seed)
             ep = sample_episode(split3, small_cfg, rng, 1000)
-            outcome, _, _ = play_round(ep, sender, receiver, small_cfg, rng,
-                                       Mode.EVAL_HARD)
+            outcome, _, _ = play_round(ep, sender, receiver, small_cfg)
             accs.append(outcome.correct.mean())
         assert abs(np.mean(accs) - 1 / 3) < 0.05
 
     def test_eval_hard_deterministic(self, small_cfg, split3):
         sender, receiver = init_params(small_cfg, 2)
         ep = sample_episode(split3, small_cfg, np.random.default_rng(4), 20)
-        a, _, _ = play_round(ep, sender, receiver, small_cfg, None,
-                             Mode.EVAL_HARD)
-        b, _, _ = play_round(ep, sender, receiver, small_cfg, None,
-                             Mode.EVAL_HARD)
+        a, _, _ = play_round(ep, sender, receiver, small_cfg)
+        b, _, _ = play_round(ep, sender, receiver, small_cfg)
         assert list(a) == list(b)
 
     def test_loss_nonnegative_and_outcome_consistent(self, small_cfg, split3):
         rng = np.random.default_rng(5)
         sender, receiver = init_params(small_cfg, 3)
         ep = sample_episode(split3, small_cfg, rng, 50)
-        outcome, _, _ = play_round(ep, sender, receiver, small_cfg, rng,
-                                   Mode.TRAIN_SOFT)
+        outcome, _, _ = play_round(ep, sender, receiver, small_cfg,
+                                   small_cfg.temperature, rng)
         assert len(outcome) == 50
         for row, (candidates, t, perm) in zip(outcome, episodes_of(ep)):
             assert row.loss >= 0
@@ -143,8 +139,8 @@ class TestPlayRound:
             rng = np.random.default_rng(6)
             sender, receiver = init_params(cfg, 0)
             ep = sample_episode(split3, cfg, rng, 1)
-            _, tape, _ = play_round(ep, sender, receiver, cfg, rng,
-                                    Mode.TRAIN_SOFT)
+            _, tape, _ = play_round(ep, sender, receiver, cfg,
+                                    cfg.temperature, rng)
             assert len(tape.nodes) == 12, variant
 
 
@@ -171,12 +167,11 @@ class TestBatchedRound:
         for b in range(batch):
             outcome, tape, loss = play_round(
                 sample_episode(split5, cfg, ref_rng, 1), *ref_params, cfg,
-                None, Mode.TRAIN_SOFT, temperature=0.8, noise=noise[b:b + 1])
+                0.8, noise=noise[b:b + 1])
             backward(tape, loss)
             ref_rows += list(outcome)
         params = init_params(cfg, 4)
-        outcome, tape, loss = play_round(episodes, *params, cfg, None,
-                                         Mode.TRAIN_SOFT, temperature=0.8,
+        outcome, tape, loss = play_round(episodes, *params, cfg, 0.8,
                                          noise=noise)
         assert len(tape.nodes) == 12
         backward(tape, loss)

@@ -12,7 +12,7 @@ from cellang.data import (DataConfig, SyntheticSpec, generate_synthetic,
                           standardize, stratified_split)
 from cellang.errors import (CheckpointError, ConfigError, DataError,
                             ParameterError, TrainingError)
-from cellang.game import Mode, play_round, sample_episode
+from cellang.game import play_round, sample_episode
 from cellang.training import (EVAL_BLOCK, Adam, TrainConfig, TrainState,
                               evaluate, history_csv, load_checkpoint,
                               save_checkpoint, train)
@@ -184,8 +184,7 @@ class TestEvaluate:
             assert getattr(outcomes, name).shape == (n,), name
         for o in outcomes:
             ref_outcome, _, _ = play_round(sample_episode(test_s, cfg, rng, 1),
-                                           sender, receiver, cfg, None,
-                                           Mode.EVAL_HARD)
+                                           sender, receiver, cfg)
             (ref,) = ref_outcome
             assert (o.receiver_guess, o.correct, o.symbol_index,
                     o.target_label) == (ref.receiver_guess, ref.correct,
@@ -294,6 +293,23 @@ class TestCheckpoint:
         rewrite_checkpoint(one_epoch_checkpoint, drop_key)
         with pytest.raises(CheckpointError, match=key.split(".")[-1]):
             load_checkpoint(one_epoch_checkpoint)
+
+    @pytest.mark.parametrize("key, value", [("game_cfg.vocab_size", "10"),
+                                            ("game_cfg", [])])
+    def test_wrongly_typed_meta_value_rejected(self, one_epoch_checkpoint,
+                                               tmp_path, key, value):
+        def set_value(meta, arrays):
+            *parents, name = key.split(".")
+            for parent in parents:
+                meta = meta[parent]
+            meta[name] = value
+
+        rewrite_checkpoint(one_epoch_checkpoint, set_value)
+        with pytest.raises(CheckpointError, match="invalid"):
+            load_checkpoint(one_epoch_checkpoint)
+        assert main(["eval", "--checkpoint", str(one_epoch_checkpoint),
+                     "--data", str(tmp_path / "unread.csv"),
+                     "--out", str(tmp_path / "ev")]) == 3
 
     def test_wrong_shape_array_rejected(self, one_epoch_checkpoint):
         def trim_column(meta, arrays):
