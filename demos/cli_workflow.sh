@@ -3,6 +3,8 @@
 # then evaluate the checkpoint and print the language report.
 #
 # Run from the repository root:  sh demos/cli_workflow.sh
+# (`python3 -m cellang.cli` is the `cellang` command; it runs with the
+# package installed or with PYTHONPATH=src)
 set -e
 
 work=$(mktemp -d)
@@ -24,13 +26,13 @@ data.split_seed=0
 data.labels=a,b,c
 EOF
 
-cellang gen-data --counts 120,120,120 --labels a,b,c --feature-dim 6 \
-    --delta 4.0 --seed 0 --out "$work/cells.csv"
+python3 -m cellang.cli gen-data --counts 120,120,120 --labels a,b,c \
+    --feature-dim 6 --delta 4.0 --seed 0 --out "$work/cells.csv"
 
-cellang train --config "$work/run.cfg" --data "$work/cells.csv" \
-    --out "$work/run"
+python3 -m cellang.cli train --config "$work/run.cfg" \
+    --data "$work/cells.csv" --out "$work/run"
 
-cellang eval --checkpoint "$work/run/checkpoint.npz" \
+python3 -m cellang.cli eval --checkpoint "$work/run/checkpoint.npz" \
     --data "$work/cells.csv" --split test --episodes 300 --seed 1 \
     --out "$work/eval"
 

@@ -266,14 +266,13 @@ def sample_gumbel(rng, size):
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax(tape, logits, temperature, hard=False, rng=None, noise=None):
-    """Relaxed categorical sample over the last axis of the logits.
-
-    Soft mode returns the tempered softmax of (logits + Gumbel noise); hard
-    mode returns one_hot(argmax(soft)) in the forward value while gradients
-    flow through the soft sample (straight-through). Pass `noise` to freeze
-    the perturbation (used by finite-difference checks); otherwise it is
-    drawn from `rng`, one rng.random(logits.shape) call.
+def gumbel_softmax(tape, logits, temperature, rng=None, noise=None):
+    """Relaxed categorical sample over the last axis of the logits: the
+    tempered softmax of (logits + Gumbel noise) (Jang et al.,
+    arXiv:1611.01144). Pass `noise` to freeze the perturbation (used by
+    finite-difference checks); otherwise it is drawn from `rng`, one
+    rng.random(logits.shape) call. The hard symbol sent at evaluation is
+    `agents.sender_forward`'s noise-free argmax.
     """
     if temperature <= 0:
         raise ParameterError("gumbel_softmax temperature must be > 0, got %r"
@@ -286,10 +285,9 @@ def gumbel_softmax(tape, logits, temperature, hard=False, rng=None, noise=None):
     z = (ld + noise) / temperature
     y = np.exp(z - z.max(axis=-1, keepdims=True))
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(one_hot(y.argmax(axis=-1), y.shape[-1]) if hard else y)
+    out = Tensor(y)
 
     def backward_fn(g):
-        # Straight-through: both modes backprop through the soft sample.
         return ((y * (g - (g * y).sum(axis=-1, keepdims=True))) / temperature,)
 
     tape.record((logits,), out, backward_fn)

@@ -27,19 +27,11 @@ def _opt_int(s):
     return None if s.lower() == "none" else int(s)
 
 
-def _bool(s):
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError("expected a boolean")
-
-
 def _converters(config_cls):
     """key -> converter for a config dataclass: the type of the field's
-    default, except for None (_opt_int), bool and tuple defaults, whose
-    types would read "false" as True and "a,b" as characters ("" is ())."""
-    special = {type(None): _opt_int, bool: _bool,
+    default, except for None defaults (_opt_int) and tuple defaults, whose
+    type would read "a,b" as characters ("" is ())."""
+    special = {type(None): _opt_int,
                tuple: lambda s: tuple(s.split(",")) if s else ()}
     return {f.name: special.get(type(f.default), type(f.default))
             for f in fields(config_cls)}
@@ -51,7 +43,8 @@ _KEYS = {name: _converters(cls) for name, cls in _SECTIONS.items()}
 
 
 def parse_config_text(text, source="<config>"):
-    kv = {}
+    """key -> value of each `key=value` line; a key may appear once."""
+    kv, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -60,7 +53,12 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError("%s line %d: expected key=value, got %r"
                               % (source, lineno, line))
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError("%s line %d: key %r repeats line %d"
+                              % (source, lineno, key, first_line[key]))
+        first_line[key] = lineno
+        kv[key] = value.strip()
     return kv
 
 
@@ -87,8 +85,8 @@ def resolve_configs(kv, source="<config>"):
 
 def _manifest_value(value):
     """A config value as resolve_configs reads it back."""
-    if value is None or isinstance(value, bool):
-        return str(value).lower()
+    if value is None:
+        return "none"
     return ",".join(value) if isinstance(value, tuple) else value
 
 
@@ -103,10 +101,7 @@ def _write_manifest(path, header_pairs, config=None):
 def _prepare_splits(data_path, game_cfg, data_cfg):
     dataset = load_table(data_path, concepts=data_cfg.labels or None,
                          feature_dim=game_cfg.feature_dim)
-    splits = stratified_split(dataset, seed=data_cfg.split_seed)
-    if data_cfg.standardize:
-        splits = standardize(*splits)
-    return splits
+    return standardize(*stratified_split(dataset, seed=data_cfg.split_seed))
 
 
 def cmd_gen_data(args):

@@ -80,7 +80,6 @@ class DataConfig(ConfigFields):
     """How a run turns a table into splits. Empty `labels` means the
     table's labels in order of first appearance."""
     split_seed: int = 0
-    standardize: bool = True
     labels: tuple = ()
 
     def __post_init__(self):

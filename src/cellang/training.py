@@ -41,10 +41,6 @@ class TrainConfig(ConfigFields):
     temp_floor: float = 0.5
     eval_episodes: int = 200
     seed: int = 0
-    init_seed: int = None
-    episode_seed: int = None
-    gumbel_seed: int = None
-    val_seed: int = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -61,18 +57,14 @@ class TrainConfig(ConfigFields):
             raise ParameterError("episodes_per_epoch must be none or >= 1")
         if self.temp_decay_epochs < 0:
             raise ParameterError("temp_decay_epochs must be >= 0")
-        for name in ("seed", "init_seed", "episode_seed", "gumbel_seed",
-                     "val_seed"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ParameterError("%s must be >= 0" % name)
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
 
     def resolved_seeds(self):
-        """Named RNG seeds; unset ones are derived from the master seed."""
+        """The four RNG stream seeds, derived from the master seed."""
         derived = np.random.SeedSequence(self.seed).generate_state(4)
-        names = ("init_seed", "episode_seed", "gumbel_seed", "val_seed")
-        return {n: int(derived[i]) if getattr(self, n) is None
-                else getattr(self, n) for i, n in enumerate(names)}
+        return {n: int(s) for n, s in zip(
+            ("init_seed", "episode_seed", "gumbel_seed", "val_seed"), derived)}
 
     def temperature_at(self, epoch, start):
         if self.temp_decay_epochs <= 0:
@@ -82,10 +74,9 @@ class TrainConfig(ConfigFields):
 
 
 def run_config(game_cfg, train_cfg, data_cfg):
-    """A run's configuration as flat `section.key` -> value, with the
-    resolved seeds: what a manifest records."""
-    sections = {"game": game_cfg.to_dict(),
-                "train": {**train_cfg.to_dict(), **train_cfg.resolved_seeds()},
+    """A run's configuration as flat `section.key` -> value: what a
+    manifest records."""
+    sections = {"game": game_cfg.to_dict(), "train": train_cfg.to_dict(),
                 "data": data_cfg.to_dict()}
     return {"%s.%s" % (section, k): v
             for section, items in sections.items() for k, v in items.items()}
@@ -214,7 +205,8 @@ def train(train_split, val_split, game_cfg, train_cfg,
     without improvement. Returns (best sender, best receiver, history).
     `data_cfg` records how the splits were made. A resumed run must keep
     the checkpoint's configuration, except for RESUMABLE_KEYS, and its
-    splits (a DataError otherwise).
+    splits (a DataError otherwise). A non-finite loss or gradient raises
+    TrainingError; the checkpoint then still holds the last whole epoch.
     """
     if resume_from is not None:
         state = load_checkpoint(resume_from)
@@ -245,8 +237,6 @@ def train(train_split, val_split, game_cfg, train_cfg,
                 episodes, state.sender, state.receiver, cfg, tau,
                 state.gumbel_rng)
             if not np.isfinite(outcome.loss).all():
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, state)
                 raise TrainingError("non-finite loss at epoch %d"
                                     % state.epoch)
             state.optimizer.grad.fill(0.0)

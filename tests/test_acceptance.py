@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cellang import autodiff as ad
-from cellang.agents import GameConfig, init_params, named_params
+from cellang.agents import (GameConfig, init_params, named_params,
+                            sender_forward)
 from cellang.analysis import (ContingencyTable, build_report,
                               identification_accuracy, majority_symbols,
                               mutual_information_bits, symbols_used_fraction)
@@ -292,8 +293,16 @@ def test_criterion_2_channel_correctness():
         logits = Tensor(rng.normal(scale=4, size=10))
         y = ad.gumbel_softmax(Tape(), logits, 0.8, rng=rng)
         ok &= bool(np.all(y.data >= 0)) and abs(y.data.sum() - 1.0) < 1e-10
-        y_hard = ad.gumbel_softmax(Tape(), logits, 0.8, hard=True, rng=rng)
-        ok &= sorted(y_hard.data) == [0.0] * 9 + [1.0]
+    # The hard channel: with no temperature the sender sends the one-hot
+    # argmax of its logits, one exact one-hot row per round.
+    cfg = GameConfig()
+    sender, _ = init_params(cfg, 0)
+    inputs = rng.normal(size=(200, cfg.sender_inputs(), cfg.feature_dim))
+    symbol, logits = sender_forward(Tape(), sender, cfg, inputs)
+    ok &= bool(np.all((symbol.data == 0.0) | (symbol.data == 1.0)))
+    ok &= np.array_equal(symbol.data.sum(axis=-1), np.ones(200))
+    ok &= np.array_equal(symbol.data.argmax(axis=-1),
+                         logits.data.argmax(axis=-1))
     total = np.zeros(10)
     uniform = Tensor(np.zeros(10))
     for _ in range(10000):

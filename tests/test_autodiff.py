@@ -244,12 +244,6 @@ class TestGumbelSoftmax:
             assert np.all(y.data >= 0)
             assert abs(y.data.sum() - 1.0) < 1e-10
 
-    def test_hard_is_exactly_one_hot(self):
-        rng = np.random.default_rng(1)
-        y = ad.gumbel_softmax(Tape(), t(rng.normal(size=10)), 1.0,
-                              hard=True, rng=rng)
-        assert sorted(y.data) == [0.0] * 9 + [1.0]
-
     def test_uniform_logits_empirical_mean(self):
         rng = np.random.default_rng(2)
         logits = t(np.zeros(10))
@@ -439,10 +433,6 @@ class TestBatchedShapes:
         check_gradients(lambda tape, x: scored(
             tape, ad.gumbel_softmax(tape, x, 0.5, noise=noise), probe),
             self.normal(3, 6))
-        hard = ad.gumbel_softmax(Tape(), t(self.normal(3, 6)), 1.0, hard=True,
-                                 rng=self.rng)
-        assert np.array_equal(hard.data.sum(axis=1), np.ones(3))
-        assert sorted(hard.data.reshape(-1)) == [0.0] * 15 + [1.0] * 3
 
     def test_gumbel_batch_draw_is_the_row_draws(self):
         # One rng.random((B, V)) call gives the same noise as B (V,) calls.

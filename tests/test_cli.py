@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellang.cli import main, parse_config_text, resolve_configs
+from cellang import training
+from cellang.cli import _KEYS, main, parse_config_text, resolve_configs
 from cellang.errors import ConfigError
+from cellang.game import play_round
 
 TINY_CONFIG = """\
 # tiny run for tests
@@ -25,6 +28,15 @@ train.eval_episodes=30
 data.split_seed=0
 data.labels=a,b,c
 """
+
+
+def with_line(line, config=TINY_CONFIG):
+    """`config` with `line` in place of the line that sets the same key, or
+    with `line` appended when none does."""
+    key = line.partition("=")[0]
+    kept = [l for l in config.splitlines() if l.partition("=")[0] != key]
+    return "\n".join(kept + [line]) + "\n"
+
 
 GEN_ARGS = ["gen-data", "--counts", "30,30,30", "--labels", "a,b,c",
             "--feature-dim", "6", "--delta", "4.0"]
@@ -58,6 +70,28 @@ class TestConfigParsing:
     def test_missing_variant_named(self):
         with pytest.raises(ConfigError, match="game.variant"):
             resolve_configs(parse_config_text("game.vocab_size=10\n"))
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError,
+                           match="line 3: key 'train.seed' repeats line 2"):
+            parse_config_text("game.variant=sender-sees-all\ntrain.seed=0\n"
+                              "train.seed=5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG + "train.seed=5\n")
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(tmp_path / "unread.csv"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "line 15: key 'train.seed' repeats line 9" in \
+            capsys.readouterr().err
+
+    def test_readme_key_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text(encoding="utf-8")
+        section = readme.split("### Config file keys", 1)[1].split("\n#")[0]
+        rows = dict(re.findall(r"^\| `(\w+)\.` \| (.*) \|$", section, re.M))
+        assert set(rows) == set(_KEYS) == {"game", "train", "data"}
+        for name, keys in rows.items():
+            assert set(re.findall(r"`(\w+)`", keys)) == set(_KEYS[name]), name
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="train.seed"):
@@ -138,18 +172,24 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_out_of_range_train_key_exit_code(self, tmp_path):
+    def test_out_of_range_train_key_exit_code(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         main(GEN_ARGS + ["--out", str(data)])
         cfg = tmp_path / "bad.cfg"
         for bad in ("train.episodes_per_epoch=0", "train.epsilon=inf",
                     "train.learning_rate=nan", "train.learning_rate=inf",
                     "game.temperature=nan", "train.seed=-1",
-                    "train.init_seed=-3", "data.split_seed=-1",
-                    "data.labels=a,b,c,a", "data.labels=a,,b,c"):
-            cfg.write_text(TINY_CONFIG + bad + "\n")
+                    "data.split_seed=-1", "data.labels=a,b,c,a",
+                    "data.labels=a,,b,c",
+                    # Lines of a manifest written before the per-stream seed
+                    # overrides and data.standardize were removed: refused,
+                    # never run differently.
+                    "train.init_seed=5", "data.standardize=true"):
+            cfg.write_text(with_line(bad))
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(tmp_path / "o")]) == 1, bad
+            field = bad.partition("=")[0].partition(".")[2]
+            assert field in capsys.readouterr().err, bad
             assert not (tmp_path / "o" / "history.csv").exists()
 
     @staticmethod
@@ -198,17 +238,38 @@ class TestTrain:
         before = {f.name: f.read_bytes() for f in out.iterdir()}
         cfg = tmp_path / "resume.cfg"
         for changed in ("train.learning_rate=0.05", "data.split_seed=5"):
-            cfg.write_text(TINY_CONFIG + changed + "\n")
+            cfg.write_text(with_line(changed))
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(out), "--quiet",
                          "--resume", str(out / "checkpoint.npz")]) == 1
-            assert changed.partition("=")[0] in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "resume may change only" in err
+            assert changed.partition("=")[0] in err
             assert {f.name: f.read_bytes() for f in out.iterdir()} == before
         # An unchanged config, labels included, resumes.
         cfg.write_text(TINY_CONFIG.replace("max_epochs=2", "max_epochs=3"))
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "more"), "--quiet",
                      "--resume", str(out / "checkpoint.npz")]) == 0
+
+    def test_non_finite_loss_exit_code(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "d.csv"
+        main(GEN_ARGS + ["--out", str(data)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG)
+
+        def poisoned(*args):
+            outcome, tape, loss = play_round(*args)
+            outcome.loss[0] = np.nan
+            return outcome, tape, loss
+
+        monkeypatch.setattr(training, "play_round", poisoned)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out), "--quiet"]) == 3
+        assert "non-finite loss at epoch 0" in capsys.readouterr().err
+        # No epoch ended, so nothing was saved, and no history was written.
+        assert list(out.iterdir()) == []
 
     def test_class_missing_from_split_rejected_before_training(
             self, tmp_path, capsys):

@@ -24,6 +24,19 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_workflow_demo_runs():
+    # The script calls `python3`: make that the interpreter running the tests.
+    path = os.pathsep.join([str(Path(sys.executable).parent),
+                            os.environ.get("PATH", "")])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PATH=path)
+    proc = subprocess.run(["sh", str(ROOT / "demos" / "cli_workflow.sh")],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("accuracy ")
+               for line in proc.stdout.splitlines()), proc.stdout
+
+
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_benchmark_prints_strict_json_result(trace):
     # Traced eval-all also trains, so Adam, backward and the op probes run;
