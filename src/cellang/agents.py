@@ -27,7 +27,7 @@ class Variant(enum.Enum):
 
 class ConfigFields:
     """`to_dict`/`from_dict` over a config dataclass's fields, which must
-    all be finite; `from_dict` requires every field."""
+    all be finite; `from_dict` requires every field and no other key."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -40,7 +40,11 @@ class ConfigFields:
 
     @classmethod
     def from_dict(cls, d):
-        """KeyError names the first field `d` lacks."""
+        """KeyError names the first field `d` lacks, ValueError the first
+        key of `d` that is no field (say, of a since-deleted setting)."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("%s has no field %r" % (cls.__name__, unknown[0]))
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 

@@ -105,11 +105,9 @@ def load_table(path, concepts=None, feature_dim=None):
     """Read a `label,f00,...` CSV into a Dataset.
 
     When `concepts` is given, labels outside it are rejected; otherwise the
-    concept set is the labels in order of first appearance. `concepts` must
-    not hold an empty or repeated label.
+    concept set is the labels in order of first appearance. The concept set
+    must not hold an empty or repeated label.
     """
-    if concepts is not None:
-        _check_labels(concepts, DataError)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -147,6 +145,7 @@ def load_table(path, concepts=None, feature_dim=None):
             values.extend(feats)
             labels.append(label)
     concept_set = list(concepts) if concepts is not None else seen
+    _check_labels(concept_set, DataError)
     features = np.array(values, dtype=np.float64).reshape(len(labels), n_feat)
     return Dataset(features, np.array(labels, dtype=str), concept_set)
 

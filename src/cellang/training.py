@@ -15,48 +15,38 @@ from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
 from .game import RoundOutcome, play_round, sample_episode
 
-CHECKPOINT_VERSION = 3
-# Rounds per evaluation forward pass: about a training minibatch, so that
-# sender-sees-all's (block, 20, 71) conv output stays small.
-EVAL_BLOCK = 32
+CHECKPOINT_VERSION = 4
+# Adam's moment decay rates and denominator offset, Kingma & Ba's defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+# Rounds per training minibatch and per evaluation forward pass; it also
+# bounds sender-sees-all's (block, 20, 71) conv output.
+BATCH_ROUNDS = 32
 HISTORY_HEADER = "epoch,train_loss,val_accuracy,temperature"
 # The config keys a resumed run may change: they only decide when it stops.
 RESUMABLE_KEYS = ("train.max_epochs", "train.early_stop_patience")
 # TrainState attributes stored as they are in checkpoint meta.
-_STATE_META = ("seeds", "epoch", "history", "best_val_accuracy",
-               "stale_epochs", "episodes_per_epoch")
+_STATE_META = ("epoch", "history", "best_val_accuracy", "stale_epochs",
+               "episodes_per_epoch")
 
 
 @dataclass
 class TrainConfig(ConfigFields):
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_episodes: int = 32
     episodes_per_epoch: int = None  # None -> size of the training split
     max_epochs: int = 200
     early_stop_patience: int = 20
-    temp_decay_epochs: int = 0  # 0 -> constant temperature
-    temp_floor: float = 0.5
     eval_episodes: int = 200
     seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("learning_rate", "epsilon", "temp_floor"):
-            if getattr(self, name) <= 0:
-                raise ParameterError("%s must be > 0" % name)
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ParameterError("beta1/beta2 must lie in (0, 1)")
-        for name in ("batch_episodes", "max_epochs", "early_stop_patience",
-                     "eval_episodes"):
+        if self.learning_rate <= 0:
+            raise ParameterError("learning_rate must be > 0")
+        for name in ("max_epochs", "early_stop_patience", "eval_episodes"):
             if getattr(self, name) < 1:
                 raise ParameterError("%s must be >= 1" % name)
         if self.episodes_per_epoch is not None and self.episodes_per_epoch < 1:
             raise ParameterError("episodes_per_epoch must be none or >= 1")
-        if self.temp_decay_epochs < 0:
-            raise ParameterError("temp_decay_epochs must be >= 0")
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
 
@@ -65,12 +55,6 @@ class TrainConfig(ConfigFields):
         derived = np.random.SeedSequence(self.seed).generate_state(4)
         return {n: int(s) for n, s in zip(
             ("init_seed", "episode_seed", "gumbel_seed", "val_seed"), derived)}
-
-    def temperature_at(self, epoch, start):
-        if self.temp_decay_epochs <= 0:
-            return start
-        frac = min(epoch / self.temp_decay_epochs, 1.0)
-        return max(self.temp_floor, start - (start - self.temp_floor) * frac)
 
 
 def run_config(game_cfg, train_cfg, data_cfg):
@@ -83,7 +67,8 @@ def run_config(game_cfg, train_cfg, data_cfg):
 
 
 class Adam:
-    """Adam with bias correction (Kingma & Ba, arXiv:1412.6980) that owns
+    """Adam with bias correction (Kingma & Ba, arXiv:1412.6980), at
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON and `cfg.learning_rate`, that owns
     the parameters: each Tensor's `.data`/`.grad` becomes a view into the
     flat `theta`/`grad`, to assign into and never rebind. The scratch vectors
     are allocated by the first step, so a state loaded only to evaluate never
@@ -114,37 +99,37 @@ class Adam:
         # match it: theta -= lr * m_hat / (sqrt(v_hat) + eps).
         if self._g is None:
             self._g, self._tmp = (np.empty_like(self.theta) for _ in range(2))
-        c, g, tmp = self.cfg, self._g, self._tmp
+        g, tmp = self._g, self._tmp
         self.step_count += 1
         np.multiply(self.grad, grad_scale, out=g)
         if not np.isfinite(g).all():
             bad = next(k for k, a in self.views(g).items()
                        if not np.isfinite(a).all())
             raise TrainingError("non-finite gradient in %s" % bad)
-        self.m *= c.beta1
-        self.m += np.multiply(g, 1 - c.beta1, out=tmp)
-        self.v *= c.beta2
-        np.multiply(g, 1 - c.beta2, out=tmp)
+        self.m *= ADAM_BETA1
+        self.m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+        self.v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=tmp)
         self.v += np.multiply(tmp, g, out=tmp)
-        np.divide(self.v, 1 - c.beta2 ** self.step_count, out=tmp)
+        np.divide(self.v, 1 - ADAM_BETA2 ** self.step_count, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += c.epsilon
-        np.divide(self.m, 1 - c.beta1 ** self.step_count, out=g)
-        g *= c.learning_rate
+        tmp += ADAM_EPSILON
+        np.divide(self.m, 1 - ADAM_BETA1 ** self.step_count, out=g)
+        g *= self.cfg.learning_rate
         self.theta -= np.divide(g, tmp, out=g)
 
 
 def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
     """Play n_episodes deterministic (hard-symbol) rounds, drawn and played
-    EVAL_BLOCK at a time (the draws do not depend on the block size); return
+    BATCH_ROUNDS at a time (the draws do not depend on the block size); return
     one RoundOutcome of every round. The tapes are dropped unwalked."""
     if n_episodes < 1:
         raise ParameterError("n_episodes must be >= 1, got %d" % n_episodes)
     rng = np.random.default_rng(seed)
     blocks = [play_round(sample_episode(split, game_cfg, rng,
-                                        min(EVAL_BLOCK, n_episodes - start)),
+                                        min(BATCH_ROUNDS, n_episodes - start)),
                          sender, receiver, game_cfg)[0]
-              for start in range(0, n_episodes, EVAL_BLOCK)]
+              for start in range(0, n_episodes, BATCH_ROUNDS)]
     return RoundOutcome(*(np.concatenate([getattr(b, f.name) for b in blocks])
                           for f in fields(RoundOutcome)[:-1]),
                         split.concept_set)
@@ -200,9 +185,10 @@ def train(train_split, val_split, game_cfg, train_cfg,
           data_cfg=DataConfig()):
     """Optimize the agents on the training split.
 
-    Keeps the parameters with the best validation accuracy (hard-symbol
-    evaluation); stops at max_epochs or after early_stop_patience epochs
-    without improvement. Returns (best sender, best receiver, history).
+    Plays minibatches of BATCH_ROUNDS rounds with relaxed symbols at
+    `game_cfg.temperature`. Keeps the parameters with the best validation
+    accuracy (hard-symbol evaluation); stops at max_epochs or after
+    early_stop_patience epochs without improvement. Returns (best sender, best receiver, history).
     `data_cfg` records how the splits were made. A resumed run must keep
     the checkpoint's configuration, except for RESUMABLE_KEYS, and its
     splits (a DataError otherwise). A non-finite loss or gradient raises
@@ -225,16 +211,15 @@ def train(train_split, val_split, game_cfg, train_cfg,
                            fingerprint(train_split, val_split))
     cfg, tcfg = state.game_cfg, state.train_cfg
     while state.epoch < tcfg.max_epochs:
-        tau = tcfg.temperature_at(state.epoch, cfg.temperature)
         losses = []
         remaining = state.episodes_per_epoch
         while remaining > 0:
-            batch = min(tcfg.batch_episodes, remaining)
+            batch = min(BATCH_ROUNDS, remaining)
             remaining -= batch
             episodes = sample_episode(train_split, cfg, state.episode_rng,
                                       batch)
             outcome, tape, loss = play_round(
-                episodes, state.sender, state.receiver, cfg, tau,
+                episodes, state.sender, state.receiver, cfg, cfg.temperature,
                 state.gumbel_rng)
             if not np.isfinite(outcome.loss).all():
                 raise TrainingError("non-finite loss at epoch %d"
@@ -248,7 +233,7 @@ def train(train_split, val_split, game_cfg, train_cfg,
         val_acc = identification_accuracy(val_outcomes)
         row = {"epoch": state.epoch,
                "train_loss": float(np.concatenate(losses).mean()),
-               "val_accuracy": val_acc, "temperature": tau}
+               "val_accuracy": val_acc, "temperature": cfg.temperature}
         state.history.append(row)
         if log is not None:
             log(row)
@@ -305,8 +290,9 @@ def save_checkpoint(path, state):
 def load_checkpoint(path):
     """Rebuild a TrainState; resuming from it continues training bit-exactly.
 
-    Every metadata key must be present and every array must have the shape
-    the checkpoint's own configuration gives it.
+    Every metadata key must be present, each config must hold exactly its
+    class's fields, and every array must have the shape the checkpoint's own
+    configuration gives it.
     """
     try:
         with np.load(path) as npz:

@@ -6,6 +6,7 @@ from cellang.agents import (GameConfig, Variant, init_params, named_params,
                             receiver_forward, sender_forward)
 from cellang.autodiff import Tape, Tensor, backward
 from cellang.errors import ContractError, ParameterError
+from cellang.training import TrainConfig
 
 
 def random_inputs(cfg, rng, n=None):
@@ -37,6 +38,11 @@ class TestGameConfig:
         del d["vocab_size"]
         with pytest.raises(KeyError, match="vocab_size"):
             GameConfig.from_dict(d)
+        # A key of no field, say of a deleted setting, is refused, not
+        # ignored.
+        d = dict(TrainConfig().to_dict(), beta1=0.8)
+        with pytest.raises(ValueError, match="beta1"):
+            TrainConfig.from_dict(d)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_temperature_rejected(self, value):

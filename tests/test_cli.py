@@ -38,6 +38,9 @@ def with_line(line, config=TINY_CONFIG):
     return "\n".join(kept + [line]) + "\n"
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md"
+          ).read_text(encoding="utf-8")
+
 GEN_ARGS = ["gen-data", "--counts", "30,30,30", "--labels", "a,b,c",
             "--feature-dim", "6", "--delta", "4.0"]
 
@@ -85,13 +88,16 @@ class TestConfigParsing:
             capsys.readouterr().err
 
     def test_readme_key_table_lists_every_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md"
-                  ).read_text(encoding="utf-8")
-        section = readme.split("### Config file keys", 1)[1].split("\n#")[0]
+        section = README.split("### Config file keys", 1)[1].split("\n#")[0]
         rows = dict(re.findall(r"^\| `(\w+)\.` \| (.*) \|$", section, re.M))
         assert set(rows) == set(_KEYS) == {"game", "train", "data"}
         for name, keys in rows.items():
             assert set(re.findall(r"`(\w+)`", keys)) == set(_KEYS[name]), name
+
+    def test_readme_states_checkpoint_version(self):
+        stated = re.findall(r"current\s+`CHECKPOINT_VERSION`\s+is\s+(\d+)",
+                            README)
+        assert stated == [str(training.CHECKPOINT_VERSION)]
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="train.seed"):
@@ -176,15 +182,16 @@ class TestTrain:
         data = tmp_path / "d.csv"
         main(GEN_ARGS + ["--out", str(data)])
         cfg = tmp_path / "bad.cfg"
-        for bad in ("train.episodes_per_epoch=0", "train.epsilon=inf",
-                    "train.learning_rate=nan", "train.learning_rate=inf",
-                    "game.temperature=nan", "train.seed=-1",
-                    "data.split_seed=-1", "data.labels=a,b,c,a",
-                    "data.labels=a,,b,c",
+        for bad in ("train.episodes_per_epoch=0", "train.learning_rate=nan",
+                    "train.learning_rate=inf", "game.temperature=nan",
+                    "train.seed=-1", "data.split_seed=-1",
+                    "data.labels=a,b,c,a", "data.labels=a,,b,c",
                     # Lines of a manifest written before the per-stream seed
-                    # overrides and data.standardize were removed: refused,
-                    # never run differently.
-                    "train.init_seed=5", "data.standardize=true"):
+                    # overrides, data.standardize, the Adam constants and
+                    # the temperature schedule were removed: refused, never
+                    # run differently.
+                    "train.init_seed=5", "data.standardize=true",
+                    "train.beta1=0.9", "train.temp_decay_epochs=0"):
             cfg.write_text(with_line(bad))
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(tmp_path / "o")]) == 1, bad
@@ -283,6 +290,20 @@ class TestTrain:
                      "--out", str(out)]) == 2
         assert "'a' (3 records) gets none in the test split" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_label_rejected(self, tmp_path, capsys):
+        # Without data.labels the table's own labels are the classes, and
+        # an empty one is refused as it would be in data.labels.
+        data = tmp_path / "d.csv"
+        main(GEN_ARGS + ["--out", str(data)])
+        data.write_text(re.sub(r"(?m)^a,", ",", data.read_text()))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(with_line("data.labels="))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert "distinct and non-empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_data_exit_code(self, tmp_path):

@@ -59,6 +59,12 @@ class TestLoadTable:
         with pytest.raises(DataError, match="distinct and non-empty"):
             load_table(path, concepts=concepts)
 
+    def test_empty_label_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("label,f00\na,1.0\n,2.0\nb,3.0\n")
+        with pytest.raises(DataError, match="distinct and non-empty"):
+            load_table(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("cls,f00\na,1.0\n")

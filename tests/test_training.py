@@ -10,20 +10,24 @@ from cellang.analysis import identification_accuracy
 from cellang.autodiff import Tensor
 from cellang.cli import main
 from cellang.data import (DataConfig, SyntheticSpec, generate_synthetic,
-                          standardize, stratified_split)
+                          save_table, standardize, stratified_split)
 from cellang.errors import (CheckpointError, ConfigError, DataError,
                             ParameterError, TrainingError)
 from cellang.game import play_round, sample_episode
-from cellang.training import (EVAL_BLOCK, Adam, TrainConfig, TrainState,
+from cellang.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                              BATCH_ROUNDS, Adam, TrainConfig, TrainState,
                               evaluate, history_csv, load_checkpoint,
                               save_checkpoint, train)
 
 
+def tiny_table(cfg, table_seed=0):
+    return generate_synthetic(SyntheticSpec(
+        n_per_class=(30, 30, 30), labels=("a", "b", "c"),
+        feature_dim=cfg.feature_dim, class_separation=4.0, seed=table_seed))
+
+
 def tiny_splits(cfg, table_seed=0, split_seed=0):
-    spec = SyntheticSpec(n_per_class=(30, 30, 30), labels=("a", "b", "c"),
-                         feature_dim=cfg.feature_dim,
-                         class_separation=4.0, seed=table_seed)
-    return standardize(*stratified_split(generate_synthetic(spec),
+    return standardize(*stratified_split(tiny_table(cfg, table_seed),
                                          seed=split_seed))
 
 
@@ -52,6 +56,20 @@ def rewrite_checkpoint(path, edit):
     np.savez(path, **arrays)
 
 
+def cli_exit_codes(checkpoint, cfg, tmp_path):
+    """Exit codes of `cellang eval` and of `cellang train --resume` given
+    `checkpoint`, with a table and config that fit the game `cfg`."""
+    data, config = tmp_path / "cells.csv", tmp_path / "run.cfg"
+    save_table(tiny_table(cfg), data)
+    config.write_text("".join("game.%s=%s\n" % kv
+                              for kv in cfg.to_dict().items()))
+    return (main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                  "--out", str(tmp_path / "ev")]),
+            main(["train", "--config", str(config), "--data", str(data),
+                  "--out", str(tmp_path / "more"), "--quiet",
+                  "--resume", str(checkpoint)]))
+
+
 def tiny_train_cfg(**overrides):
     base = dict(max_epochs=3, episodes_per_epoch=60, eval_episodes=50,
                 early_stop_patience=10, seed=0)
@@ -68,11 +86,11 @@ def per_tensor_adam(values, grads, cfg, grad_scale):
     for t, step_grads in enumerate(grads, start=1):
         for k, value in values.items():
             g = step_grads[k] * grad_scale
-            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
-            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
-            m_hat = m[k] / (1 - cfg.beta1 ** t)
-            v_hat = v[k] / (1 - cfg.beta2 ** t)
-            value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[k] / (1 - ADAM_BETA1 ** t)
+            v_hat = v[k] / (1 - ADAM_BETA2 ** t)
+            value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return m, v
 
 
@@ -100,8 +118,8 @@ class TestAdam:
         m1, v1 = opt.views(opt.m)["p"][0], opt.views(opt.v)["p"][0]
         p.grad[...] = 0.0
         opt.step()
-        assert opt.views(opt.m)["p"][0] == cfg.beta1 * m1
-        assert opt.views(opt.v)["p"][0] == cfg.beta2 * v1
+        assert opt.views(opt.m)["p"][0] == ADAM_BETA1 * m1
+        assert opt.views(opt.v)["p"][0] == ADAM_BETA2 * v1
 
     def test_scalar_quadratic_converges(self):
         # 200 steps on f(w) = (w - 3)^2 with lr 0.1.
@@ -176,7 +194,7 @@ class TestEvaluate:
         # drawn and played one at a time (batches of 1).
         cfg, _, _, test_s = tiny_setup
         sender, receiver = init_params(cfg, 3)
-        n = 2 * EVAL_BLOCK + 5
+        n = 2 * BATCH_ROUNDS + 5
         outcomes = evaluate(sender, receiver, test_s, cfg, n, seed=6)
         rng = np.random.default_rng(6)
         assert len(outcomes) == n
@@ -263,13 +281,6 @@ class TestTrainLoop:
         _, _, resumed = train(train_s, val_s, cfg, tcfg, resume_from=path)
         assert resumed == full_history
 
-    def test_temperature_schedule(self):
-        tcfg = TrainConfig(temp_decay_epochs=4, temp_floor=0.5)
-        taus = [tcfg.temperature_at(e, 1.0) for e in range(6)]
-        assert taus[0] == 1.0
-        assert taus[4] == 0.5 == taus[5]
-        assert all(a >= b for a, b in zip(taus, taus[1:]))
-
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tiny_setup, tmp_path):
@@ -308,7 +319,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["seeds", "game_cfg.vocab_size",
+    @pytest.mark.parametrize("key", ["game_cfg.vocab_size",
                                      "game_cfg.variant",
                                      "data_cfg.split_seed"])
     def test_missing_meta_key_rejected(self, one_epoch_checkpoint, key):
@@ -322,8 +333,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=key.split(".")[-1]):
             load_checkpoint(one_epoch_checkpoint)
 
+    # The last: a field a version-3 checkpoint could hold, deleted since.
     @pytest.mark.parametrize("key, value", [("game_cfg.vocab_size", "10"),
-                                            ("game_cfg", [])])
+                                            ("game_cfg", []),
+                                            ("train_cfg.temp_decay_epochs", 4)])
     def test_wrongly_typed_meta_value_rejected(self, one_epoch_checkpoint,
                                                tmp_path, key, value):
         def set_value(meta, arrays):
@@ -384,16 +397,17 @@ class TestCheckpoint:
                 train(train_s, val_s, small_cfg, tiny_train_cfg(),
                       resume_from=one_epoch_checkpoint)
 
-    def test_version_1_rejected(self, one_epoch_checkpoint, tmp_path):
-        def set_version_1(meta, arrays):
-            meta["version"] = 1
-
-        rewrite_checkpoint(one_epoch_checkpoint, set_version_1)
-        with pytest.raises(CheckpointError, match="version 1"):
-            load_checkpoint(one_epoch_checkpoint)
-        assert main(["eval", "--checkpoint", str(one_epoch_checkpoint),
-                     "--data", str(tmp_path / "unread.csv"),
-                     "--out", str(tmp_path / "ev")]) == 3
+    def test_version_1_rejected(self, small_cfg, one_epoch_checkpoint,
+                                tmp_path):
+        # Also version 3, which held the Adam constants, the minibatch size
+        # and a temperature schedule as TrainConfig fields.
+        for version in (1, 3):
+            rewrite_checkpoint(one_epoch_checkpoint, lambda meta, arrays:
+                               meta.update(version=version))
+            with pytest.raises(CheckpointError, match="version %d" % version):
+                load_checkpoint(one_epoch_checkpoint)
+            assert cli_exit_codes(one_epoch_checkpoint, small_cfg,
+                                  tmp_path) == (3, 3)
 
     def test_version_2_rejected(self, one_epoch_checkpoint, tmp_path):
         # The version before batched sampling, which also stored the
@@ -421,11 +435,9 @@ class TestConfigRanges:
     @pytest.mark.parametrize("field, value", [
         ("episodes_per_epoch", 0), ("max_epochs", 0), ("max_epochs", -3),
         ("early_stop_patience", 0), ("eval_episodes", 0),
-        ("temp_decay_epochs", -1), ("temp_floor", 0.0), ("epsilon", 0.0),
-        ("batch_episodes", 0), ("learning_rate", -1e-3),
-        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-        ("epsilon", float("inf")), ("beta2", float("nan")),
-        ("max_epochs", float("inf")), ("seed", -1),
+        ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("max_epochs", float("inf")),
+        ("seed", -1),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):
@@ -433,7 +445,7 @@ class TestConfigRanges:
 
     def test_boundary_values_accepted(self):
         TrainConfig(episodes_per_epoch=1, max_epochs=1, early_stop_patience=1,
-                    eval_episodes=1, temp_decay_epochs=0)
+                    eval_episodes=1)
 
 
 class TestSeeds:
