@@ -56,7 +56,7 @@ class GameConfig(ConfigFields):
     embed_dim: int = 15
     conv_filters: int = 20
     conv_width: int = 5
-    temperature: float = 1.0
+    temperature: float = 2.0
     variant: Variant = Variant.SENDER_SEES_ALL
 
     def __post_init__(self):

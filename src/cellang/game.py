@@ -52,8 +52,11 @@ def sample_episode(split, cfg, rng, batch):
     one record per concept, a uniform target and a uniform permutation of
     the candidate slots shown to the receiver.
 
-    Each episode draws rng.integers(sizes) (one record per concept, in
-    concept order), rng.integers(K) and rng.permutation(K), so episode b of
+    One u = rng.random((batch, 2K + 1)) gives every draw: per episode, record
+    pick floor(u[k] * size_k) of concept k, target floor(u[K] * K) and the
+    permutation that sorts u[K + 1:]. Picks stay in range: for u < 1 under
+    round-to-nearest, floor(u * n) < n, and the bias is at most n / 2**53.
+    Each episode takes the next 2K + 1 doubles of the stream, so episode b of
     a batch is the b-th of a run of batch-of-1 draws, whatever the batch
     size.
     """
@@ -65,14 +68,11 @@ def sample_episode(split, cfg, rng, batch):
         raise DataError("concept %r has no records in this split"
                         % split.concept_set[int(np.argmin(sizes))])
     k = cfg.n_concepts
-    picks, perms = (np.empty((batch, k), dtype=np.int64) for _ in range(2))
-    targets = np.empty(batch, dtype=np.int64)
-    for b in range(batch):
-        picks[b] = rng.integers(sizes)
-        targets[b] = rng.integers(k)
-        perms[b] = rng.permutation(k)
+    u = rng.random((batch, 2 * k + 1))
+    picks = (u[:, :k] * sizes).astype(np.int64)
     return Episode(split.features, split.concept_set, order[starts + picks],
-                   targets, perms)
+                   (u[:, k] * k).astype(np.int64),
+                   u[:, k + 1:].argsort(axis=1, kind="stable"))
 
 
 def play_round(episode, sender, receiver, cfg, temperature=None, rng=None,

@@ -15,7 +15,7 @@ from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
 from .game import RoundOutcome, play_round, sample_episode
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # Adam's moment decay rates and denominator offset, Kingma & Ba's defaults.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # Rounds per training minibatch and per evaluation forward pass; it also

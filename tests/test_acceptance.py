@@ -500,3 +500,13 @@ def test_criterion_10_null_control():
     verdict(10, "null-control", ok,
             "trained accuracy on noise %.3f (class MI %.3f bits)"
             % (acc, report.mutual_information_bits))
+
+
+def test_criterion_11_seed_robust_emergence(trained_runs):
+    # Criterion 4 on eight seeds: with the default channel temperature no
+    # seed may end on the plateau where two classes share one symbol
+    # (test accuracy near 0.8).
+    accs = [trained_runs("sender-sees-all", seed)[0] for seed in range(8)]
+    ok = min(accs) >= 0.90
+    verdict(11, "seed-robust-emergence", ok,
+            "test accuracy per seed 0-7 %s" % [round(a, 3) for a in accs])

@@ -2,13 +2,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cellang import training
-from cellang.cli import _KEYS, main, parse_config_text, resolve_configs
+from cellang.cli import (_KEYS, _SECTIONS, main, parse_config_text,
+                         resolve_configs)
 from cellang.errors import ConfigError
 from cellang.game import play_round
 
@@ -93,6 +95,15 @@ class TestConfigParsing:
         assert set(rows) == set(_KEYS) == {"game", "train", "data"}
         for name, keys in rows.items():
             assert set(re.findall(r"`(\w+)`", keys)) == set(_KEYS[name]), name
+            # Every numeric or None default is stated, as the first word in
+            # the parentheses after its key, and is the dataclass's default.
+            stated = dict(re.findall(r"`(\w+)` \(([\w.+-]+)", keys))
+            for f in fields(_SECTIONS[name]):
+                if f.default is None:
+                    assert stated.get(f.name) == "none", (name, f.name)
+                elif type(f.default) in (int, float):
+                    assert f.name in stated and \
+                        float(stated[f.name]) == f.default, (name, f.name)
 
     def test_readme_states_checkpoint_version(self):
         stated = re.findall(r"current\s+`CHECKPOINT_VERSION`\s+is\s+(\d+)",

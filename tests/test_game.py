@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,22 @@ def split3(small_cfg):
     spec = SyntheticSpec(n_per_class=(10, 10, 10), labels=("a", "b", "c"),
                          feature_dim=small_cfg.feature_dim, seed=0)
     return generate_synthetic(spec)
+
+
+@pytest.fixture
+def split_uneven(small_cfg):
+    spec = SyntheticSpec(n_per_class=(7, 10, 13), labels=("a", "b", "c"),
+                         feature_dim=small_cfg.feature_dim, seed=1)
+    return generate_synthetic(spec)
+
+
+class ConstantRng:
+    """A stand-in generator whose every uniform double is `value`."""
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
 
 
 def label_of(split, row):
@@ -58,20 +76,49 @@ class TestSampleEpisode:
         assert np.array_equal(a.receiver_permutation, b.receiver_permutation)
         assert np.array_equal(a.rows, b.rows)
 
-    def test_draws_match_one_scalar_draw_per_concept(self, small_cfg, split3):
-        # Reference: the per-concept loop the vectorized draw replaced, then
-        # the target and the permutation, episode after episode; a batch's
-        # episodes are the reference's in order, whatever its size.
+    def test_draws_match_one_uniform_row_per_episode(self, small_cfg,
+                                                     split_uneven):
+        # Reference: per episode, the next 2K + 1 doubles of the stream give
+        # concept c's record floor(u[c] * size_c), the target floor(u[K] * K)
+        # and the permutation that sorts u[K + 1:]; a batch's episodes are
+        # the reference's in order, whatever its size.
+        k = small_cfg.n_concepts
+        pools = [split_uneven.by_label(c) for c in split_uneven.concept_set]
         rng, ref = np.random.default_rng(8), np.random.default_rng(8)
         for batch in [1] * 150 + [32] * 5:
-            drawn = sample_episode(split3, small_cfg, rng, batch)
+            drawn = sample_episode(split_uneven, small_cfg, rng, batch)
             for candidates, t, perm in episodes_of(drawn):
-                rows = [split3.by_label(c)[ref.integers(
-                    len(split3.by_label(c)))] for c in split3.concept_set]
-                assert np.array_equal(candidates, split3.features[rows])
-                assert t == ref.integers(small_cfg.n_concepts)
-                assert np.array_equal(perm,
-                                      ref.permutation(small_cfg.n_concepts))
+                u = ref.random(2 * k + 1).tolist()
+                rows = [pool[math.floor(x * len(pool))]
+                        for pool, x in zip(pools, u)]
+                assert np.array_equal(candidates, split_uneven.features[rows])
+                assert t == math.floor(u[k] * k)
+                assert perm.tolist() == sorted(range(k),
+                                               key=u[k + 1:].__getitem__)
+
+    @pytest.mark.parametrize("u", [np.nextafter(1.0, 0.0), 0.0])
+    def test_extreme_uniforms_stay_in_range(self, small_cfg, split_uneven, u):
+        # The largest double below 1 picks each concept's last record and
+        # the last target; 0.0 picks the first record and the first target.
+        k = small_cfg.n_concepts
+        drawn = sample_episode(split_uneven, small_cfg, ConstantRng(u), 4)
+        end = -1 if u else 0
+        assert (drawn.rows == [split_uneven.by_label(c)[end]
+                               for c in split_uneven.concept_set]).all()
+        assert (drawn.target_index == (k - 1 if u else 0)).all()
+        assert (np.sort(drawn.receiver_permutation, axis=1)
+                == np.arange(k)).all()
+
+    def test_permutations_and_records_uniform(self, small_cfg, split_uneven):
+        drawn = sample_episode(split_uneven, small_cfg,
+                               np.random.default_rng(9), 12000)
+        perms, counts = np.unique(drawn.receiver_permutation, axis=0,
+                                  return_counts=True)
+        assert len(perms) == 6
+        assert np.all(np.abs(counts / 12000 - 1 / 6) < 0.02)
+        # Every record of every class is some episode's candidate.
+        assert np.array_equal(np.unique(drawn.rows),
+                              np.arange(len(split_uneven)))
 
     def test_empty_concept_names_it(self, small_cfg, split3):
         keep = split3.labels != "b"

@@ -400,8 +400,9 @@ class TestCheckpoint:
     def test_version_1_rejected(self, small_cfg, one_epoch_checkpoint,
                                 tmp_path):
         # Also version 3, which held the Adam constants, the minibatch size
-        # and a temperature schedule as TrainConfig fields.
-        for version in (1, 3):
+        # and a temperature schedule as TrainConfig fields, and version 4,
+        # whose saved episode stream state fed the per-episode draw.
+        for version in (1, 3, 4):
             rewrite_checkpoint(one_epoch_checkpoint, lambda meta, arrays:
                                meta.update(version=version))
             with pytest.raises(CheckpointError, match="version %d" % version):
