@@ -1,7 +1,7 @@
 """Finite-difference check of the round loss gradients.
 
 Plays a single soft-symbol round (a batch of one) with the Gumbel noise
-frozen, backpropagates through the tape, then compares a sample of each
+frozen (each replay draws it from a freshly seeded generator), backpropagates through the tape, then compares a sample of each
 parameter's gradient against a central finite difference of the replayed
 round.
 
@@ -11,14 +11,14 @@ Run:  python3 demos/gradient_check.py
 import numpy as np
 
 from cellang.agents import GameConfig, Variant, init_params, named_params
-from cellang.autodiff import backward, sample_gumbel
+from cellang.autodiff import backward
 from cellang.data import SyntheticSpec, generate_synthetic
 from cellang.game import play_round, sample_episode
 
 
-def round_loss(episode, sender, receiver, cfg, noise):
+def round_loss(episode, sender, receiver, cfg, noise_seed):
     _, tape, loss = play_round(episode, sender, receiver, cfg, cfg.temperature,
-                               noise=noise)
+                               np.random.default_rng(noise_seed))
     return tape, loss
 
 
@@ -32,10 +32,10 @@ def main():
 
     rng = np.random.default_rng(0)
     episode = sample_episode(split, cfg, rng, 1)
-    noise = sample_gumbel(rng, (1, cfg.vocab_size))
+    noise_seed = int(rng.integers(2 ** 32))
     sender, receiver = init_params(cfg, seed=1)
 
-    tape, loss = round_loss(episode, sender, receiver, cfg, noise)
+    tape, loss = round_loss(episode, sender, receiver, cfg, noise_seed)
     backward(tape, loss)
     print("round loss: %.6f" % loss.data[0])
 
@@ -46,9 +46,9 @@ def main():
         idx = int(rng.integers(flat.size))
         orig = flat[idx]
         flat[idx] = orig + eps
-        _, lp = round_loss(episode, sender, receiver, cfg, noise)
+        _, lp = round_loss(episode, sender, receiver, cfg, noise_seed)
         flat[idx] = orig - eps
-        _, lm = round_loss(episode, sender, receiver, cfg, noise)
+        _, lm = round_loss(episode, sender, receiver, cfg, noise_seed)
         flat[idx] = orig
         numeric = (lp.data[0] - lm.data[0]) / (2 * eps)
         analytic = p.grad.reshape(-1)[idx]

@@ -163,8 +163,7 @@ def init_params(cfg, seed):
     return sender, receiver
 
 
-def sender_forward(tape, params, cfg, inputs, temperature=None, rng=None,
-                   noise=None):
+def sender_forward(tape, params, cfg, inputs, temperature=None, rng=None):
     """Produce a symbol over the vocabulary from the sender's view.
 
     `inputs` holds K feature rows (target first) or just the target,
@@ -173,7 +172,7 @@ def sender_forward(tape, params, cfg, inputs, temperature=None, rng=None,
     (symbol, logits), (V,) or (B, V). With no `temperature` the symbol is
     the one-hot argmax of the logits (lowest index on ties) and no noise is
     drawn; otherwise it is a Gumbel-softmax sample at that temperature, its
-    noise drawn from `rng` or given as `noise`.
+    noise drawn from `rng`.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 2 or inputs.shape[-2] != cfg.sender_inputs():
@@ -191,8 +190,7 @@ def sender_forward(tape, params, cfg, inputs, temperature=None, rng=None,
     if temperature is None:
         symbol = Tensor(ad.one_hot(logits.data.argmax(axis=-1), cfg.vocab_size))
     else:
-        symbol = ad.gumbel_softmax(tape, logits, temperature, rng=rng,
-                                   noise=noise)
+        symbol = ad.gumbel_softmax(tape, logits, temperature, rng)
     return symbol, logits
 
 

@@ -266,23 +266,19 @@ def sample_gumbel(rng, size):
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax(tape, logits, temperature, rng=None, noise=None):
+def gumbel_softmax(tape, logits, temperature, rng):
     """Relaxed categorical sample over the last axis of the logits: the
     tempered softmax of (logits + Gumbel noise) (Jang et al.,
-    arXiv:1611.01144). Pass `noise` to freeze the perturbation (used by
-    finite-difference checks); otherwise it is drawn from `rng`, one
-    rng.random(logits.shape) call. The hard symbol sent at evaluation is
-    `agents.sender_forward`'s noise-free argmax.
+    arXiv:1611.01144), the noise drawn from `rng` by one
+    rng.random(logits.shape) call. A freshly seeded generator freezes the
+    noise (as finite-difference checks do). The hard symbol sent at
+    evaluation is `agents.sender_forward`'s noise-free argmax.
     """
     if temperature <= 0:
         raise ParameterError("gumbel_softmax temperature must be > 0, got %r"
                              % (temperature,))
     ld = logits.data
-    if noise is None:
-        if rng is None:
-            raise ContractError("gumbel_softmax needs an rng when noise is not given")
-        noise = sample_gumbel(rng, ld.shape)
-    z = (ld + noise) / temperature
+    z = (ld + sample_gumbel(rng, ld.shape)) / temperature
     y = np.exp(z - z.max(axis=-1, keepdims=True))
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)

@@ -26,6 +26,9 @@ class Dataset:
     labels: np.ndarray
     concept_set: list
     standardization: tuple = None  # (mean, std) fitted on a training split
+    # The table a split was cut from (by stratified_split); fingerprint
+    # hashes it, so an edit to any of its rows shows.
+    source: "Dataset" = field(default=None, repr=False, compare=False)
     _pools: tuple = field(default=None, repr=False, compare=False)
 
     def __len__(self):
@@ -210,17 +213,23 @@ def stratified_split(dataset, seed=0):
         for part, chunk in zip(parts, (rows[:a], rows[a:b], rows[b:])):
             part.append(chunk)
     return tuple(Dataset(dataset.features[rows], dataset.labels[rows],
-                         list(classes), standardization=dataset.standardization)
+                         list(classes), standardization=dataset.standardization,
+                         source=dataset)
                  for rows in map(np.concatenate, parts))
 
 
 def fingerprint(*splits):
-    """SHA-256 hex digest of the splits' features, labels and concept sets."""
+    """SHA-256 hex digest of the splits' features, labels and concept sets,
+    then of each distinct table they were cut from (`Dataset.source`)."""
+    sources = {id(ds.source): ds.source for ds in splits
+               if ds.source is not None}
     digest = hashlib.sha256()
-    for ds in splits:
+    for ds in splits + tuple(sources.values()):
         digest.update(json.dumps([ds.features.shape, ds.labels.tolist(),
                                   ds.concept_set]).encode("utf-8"))
-        digest.update(np.ascontiguousarray(ds.features, "<f8").tobytes())
+        # Hashed through the buffer protocol, so a C-ordered little-endian
+        # matrix is not copied.
+        digest.update(np.ascontiguousarray(ds.features, "<f8"))
     return digest.hexdigest()
 
 
@@ -241,7 +250,8 @@ def standardize(train, *others):
     divisor = np.where(std < 1e-12, 1.0, std)
     return tuple(Dataset((ds.features - mean) / divisor, ds.labels,
                          list(ds.concept_set),
-                         standardization=(mean.copy(), std.copy()))
+                         standardization=(mean.copy(), std.copy()),
+                         source=ds.source)
                  for ds in (train,) + others)
 
 

@@ -75,13 +75,12 @@ def sample_episode(split, cfg, rng, batch):
                    u[:, k + 1:].argsort(axis=1, kind="stable"))
 
 
-def play_round(episode, sender, receiver, cfg, temperature=None, rng=None,
-               noise=None):
+def play_round(episode, sender, receiver, cfg, temperature=None, rng=None):
     """Play every round of a batched episode on one tape; returns
     (RoundOutcome, tape, loss tensor). The loss is the sum of the rounds'
     losses, so its gradients are the sum of theirs. With no `temperature`
     the sender sends its argmax symbol; otherwise a Gumbel-softmax sample at
-    that temperature, with (B, V) noise drawn from `rng` or given as `noise`.
+    that temperature, with (B, V) noise drawn from `rng`.
 
     The sender sees the candidates target-first (SENDER_SEES_ALL) or the
     target alone; the receiver sees the candidates under the episode's
@@ -100,7 +99,7 @@ def play_round(episode, sender, receiver, cfg, temperature=None, rng=None,
         order = t[:, None]
     symbol, _logits = sender_forward(
         tape, sender, cfg, episode.features[rows[rounds, order]],
-        temperature, rng, noise)
+        temperature, rng)
     log_probs = receiver_forward(tape, receiver, cfg, symbol,
                                  episode.features[rows[rounds, perm]])
     target_pos = (perm == t[:, None]).argmax(axis=1)

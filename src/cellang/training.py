@@ -15,7 +15,7 @@ from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
 from .game import RoundOutcome, play_round, sample_episode
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # Adam's moment decay rates and denominator offset, Kingma & Ba's defaults.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # Rounds per training minibatch and per evaluation forward pass; it also
@@ -24,9 +24,6 @@ BATCH_ROUNDS = 32
 HISTORY_HEADER = "epoch,train_loss,val_accuracy,temperature"
 # The config keys a resumed run may change: they only decide when it stops.
 RESUMABLE_KEYS = ("train.max_epochs", "train.early_stop_patience")
-# TrainState attributes stored as they are in checkpoint meta.
-_STATE_META = ("epoch", "history", "best_val_accuracy", "stale_epochs",
-               "episodes_per_epoch")
 
 
 @dataclass
@@ -144,28 +141,29 @@ def history_csv(history):
 
 
 class TrainState:
-    """Everything needed to continue training bit-exactly."""
+    """Everything needed to continue training bit-exactly. `history` is the
+    one record of how far the run got: one row per finished epoch."""
 
-    def __init__(self, game_cfg, train_cfg, data_cfg, train_size,
-                 data_fingerprint):
+    def __init__(self, game_cfg, train_cfg, data_cfg, data_fingerprint):
         self.game_cfg = game_cfg
         self.train_cfg = train_cfg
         self.data_cfg = data_cfg
-        self.data_fingerprint = data_fingerprint  # of the train and val splits
+        # Of the train and val splits and the table they were cut from.
+        self.data_fingerprint = data_fingerprint
         seeds = train_cfg.resolved_seeds()
         self.seeds = seeds
         self.sender, self.receiver = init_params(game_cfg, seeds["init_seed"])
         self.optimizer = Adam(named_params(self.sender, self.receiver), train_cfg)
         self.episode_rng = np.random.default_rng(seeds["episode_seed"])
         self.gumbel_rng = np.random.default_rng(seeds["gumbel_seed"])
-        self.epoch = 0
         self.history = []
-        self.best_val_accuracy = -1.0
-        self.best_theta = None  # a copy of optimizer.theta
-        self.stale_epochs = 0
-        self.episodes_per_epoch = (train_cfg.episodes_per_epoch
-                                   if train_cfg.episodes_per_epoch is not None
-                                   else train_size)
+        self.best_theta = None  # optimizer.theta after the best epoch
+
+    def best_epoch(self):
+        """The first epoch with the highest validation accuracy; -1 before
+        any epoch."""
+        accuracies = [row["val_accuracy"] for row in self.history]
+        return accuracies.index(max(accuracies)) if accuracies else -1
 
     def best(self):
         if self.best_theta is None:
@@ -174,10 +172,11 @@ class TrainState:
         return self.sender.over(views), self.receiver.over(views)
 
     def check_data(self, train_split, val_split):
-        """DataError unless these are the splits this state was trained on."""
+        """DataError unless these are the splits, cut from the same table,
+        that this state was trained on."""
         if fingerprint(train_split, val_split) != self.data_fingerprint:
-            raise DataError("the train and val splits differ from those the "
-                            "checkpoint was trained on")
+            raise DataError("the splits differ from those the checkpoint was "
+                            "trained on, or were cut from another table")
 
 
 def train(train_split, val_split, game_cfg, train_cfg,
@@ -188,7 +187,9 @@ def train(train_split, val_split, game_cfg, train_cfg,
     Plays minibatches of BATCH_ROUNDS rounds with relaxed symbols at
     `game_cfg.temperature`. Keeps the parameters with the best validation
     accuracy (hard-symbol evaluation); stops at max_epochs or after
-    early_stop_patience epochs without improvement. Returns (best sender, best receiver, history).
+    early_stop_patience epochs without improvement, both read off the
+    history, so resuming a finished run trains no epoch. Returns (best
+    sender, best receiver, history).
     `data_cfg` records how the splits were made. A resumed run must keep
     the checkpoint's configuration, except for RESUMABLE_KEYS, and its
     splits (a DataError otherwise). A non-finite loss or gradient raises
@@ -207,12 +208,13 @@ def train(train_split, val_split, game_cfg, train_cfg,
         state.check_data(train_split, val_split)
         state.train_cfg = train_cfg
     else:
-        state = TrainState(game_cfg, train_cfg, data_cfg, len(train_split),
+        state = TrainState(game_cfg, train_cfg, data_cfg,
                            fingerprint(train_split, val_split))
-    cfg, tcfg = state.game_cfg, state.train_cfg
-    while state.epoch < tcfg.max_epochs:
-        losses = []
-        remaining = state.episodes_per_epoch
+    cfg, tcfg, history = state.game_cfg, state.train_cfg, state.history
+    while (len(history) < tcfg.max_epochs
+           and len(history) - state.best_epoch() <= tcfg.early_stop_patience):
+        epoch, losses = len(history), []
+        remaining = tcfg.episodes_per_epoch or len(train_split)
         while remaining > 0:
             batch = min(BATCH_ROUNDS, remaining)
             remaining -= batch
@@ -222,8 +224,7 @@ def train(train_split, val_split, game_cfg, train_cfg,
                 episodes, state.sender, state.receiver, cfg, cfg.temperature,
                 state.gumbel_rng)
             if not np.isfinite(outcome.loss).all():
-                raise TrainingError("non-finite loss at epoch %d"
-                                    % state.epoch)
+                raise TrainingError("non-finite loss at epoch %d" % epoch)
             state.optimizer.grad.fill(0.0)
             backward(tape, loss)
             losses.append(outcome.loss)
@@ -231,25 +232,18 @@ def train(train_split, val_split, game_cfg, train_cfg,
         val_outcomes = evaluate(state.sender, state.receiver, val_split, cfg,
                                 tcfg.eval_episodes, state.seeds["val_seed"])
         val_acc = identification_accuracy(val_outcomes)
-        row = {"epoch": state.epoch,
+        row = {"epoch": epoch,
                "train_loss": float(np.concatenate(losses).mean()),
                "val_accuracy": val_acc, "temperature": cfg.temperature}
-        state.history.append(row)
+        history.append(row)
         if log is not None:
             log(row)
-        if val_acc > state.best_val_accuracy:
-            state.best_val_accuracy = val_acc
+        if state.best_epoch() == epoch:
             state.best_theta = state.optimizer.theta.copy()
-            state.stale_epochs = 0
-        else:
-            state.stale_epochs += 1
-        state.epoch += 1
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, state)
-        if state.stale_epochs >= tcfg.early_stop_patience:
-            break
     sender, receiver = state.best()
-    return sender, receiver, state.history
+    return sender, receiver, history
 
 
 def _checkpoint_arrays(state):
@@ -265,18 +259,17 @@ def save_checkpoint(path, state):
     """Single-file .npz container: named little-endian float64 arrays plus a
     JSON metadata blob under the 'meta' key."""
     arrays = _checkpoint_arrays(state)
-    meta = {k: getattr(state, k) for k in _STATE_META}
-    meta.update({
+    meta = {
         "version": CHECKPOINT_VERSION,
+        "history": state.history,
         "game_cfg": state.game_cfg.to_dict(),
         "train_cfg": state.train_cfg.to_dict(),
         "data_cfg": state.data_cfg.to_dict(),
         "data_fingerprint": state.data_fingerprint,
-        "has_best": state.best_theta is not None,
         "adam_step": state.optimizer.step_count,
         "episode_rng": state.episode_rng.bit_generator.state,
         "gumbel_rng": state.gumbel_rng.bit_generator.state,
-    })
+    }
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     tmp = str(path) + ".tmp"
@@ -323,10 +316,9 @@ def _restore_state(meta, arrays):
     state = TrainState(GameConfig.from_dict(meta["game_cfg"]),
                        TrainConfig.from_dict(meta["train_cfg"]),
                        DataConfig.from_dict(meta["data_cfg"]),
-                       meta["episodes_per_epoch"], meta["data_fingerprint"])
-    for k in _STATE_META:
-        setattr(state, k, meta[k])
-    if meta["has_best"]:
+                       meta["data_fingerprint"])
+    state.history = meta["history"]
+    if state.history:  # saved once there is a best epoch
         state.best_theta = np.empty_like(state.optimizer.theta)
     for k, live in _checkpoint_arrays(state).items():
         if arrays[k].shape != live.shape:

@@ -10,7 +10,7 @@ import pytest
 
 from cellang import autodiff as ad
 from cellang.agents import (GameConfig, init_params, named_params,
-                            sender_forward)
+                            receiver_forward, sender_forward)
 from cellang.analysis import (ContingencyTable, build_report,
                               identification_accuracy, majority_symbols,
                               mutual_information_bits, symbols_used_fraction)
@@ -146,19 +146,21 @@ def test_criterion_1_gradient_correctness(small_cfg):
         ok &= close(xt.grad, x0, f_chain)
 
         # gumbel softmax with frozen noise
+        # (each evaluation seeds a fresh generator, so all see one noise)
         x0 = rng.normal(size=5)
-        noise = ad.sample_gumbel(rng, 5)
+        noise_seed = int(rng.integers(2 ** 32))
         probe_g = rng.normal(size=5)
 
         def f_gs(x):
             tape = Tape()
-            y = ad.gumbel_softmax(tape, Tensor(x), 0.7, noise=noise)
+            y = ad.gumbel_softmax(tape, Tensor(x), 0.7,
+                                  np.random.default_rng(noise_seed))
             return float(ad.dot(tape, y, Tensor(probe_g)).data[0])
 
         tape = Tape()
         xt = Tensor(x0)
-        loss = ad.dot(tape, ad.gumbel_softmax(tape, xt, 0.7, noise=noise),
-                      Tensor(probe_g))
+        loss = ad.dot(tape, ad.gumbel_softmax(
+            tape, xt, 0.7, np.random.default_rng(noise_seed)), Tensor(probe_g))
         backward(tape, loss)
         ok &= close(xt.grad, x0, f_gs)
 
@@ -211,21 +213,16 @@ def test_criterion_1_gradient_correctness(small_cfg):
         params = named_params(sender, receiver)
         feats = [rng.normal(size=small_cfg.feature_dim)
                  for _ in range(small_cfg.n_concepts)]
-        noise = ad.sample_gumbel(rng, small_cfg.vocab_size)
+        noise_seed = int(rng.integers(2 ** 32))
         target_pos = int(rng.integers(small_cfg.n_concepts))
 
         def composite_loss():
             tape = Tape()
-            symbol, _ = sender_forward_frozen(tape, sender, small_cfg,
-                                              feats, noise)
-            from cellang.agents import receiver_forward
+            symbol, _ = sender_forward(tape, sender, small_cfg, feats,
+                                       small_cfg.temperature,
+                                       np.random.default_rng(noise_seed))
             lp = receiver_forward(tape, receiver, small_cfg, symbol, feats)
             return tape, ad.nll_loss(tape, lp, target_pos)
-
-        def sender_forward_frozen(tape, s, cfg, inputs, frozen):
-            from cellang.agents import sender_forward
-            return sender_forward(tape, s, cfg, inputs, cfg.temperature,
-                                  noise=frozen)
 
         tape, loss = composite_loss()
         backward(tape, loss)
@@ -249,19 +246,19 @@ def test_criterion_1_gradient_correctness(small_cfg):
 
     # the same composite over a batch of three rounds: one tape, the loss
     # summed over the rounds, every parameter
-    from cellang.agents import receiver_forward, sender_forward
     for instance in range(20):
         sender, receiver = init_params(small_cfg, 100 + instance)
         params = named_params(sender, receiver)
         feats = rng.normal(size=(3, small_cfg.n_concepts,
                                  small_cfg.feature_dim))
-        noise = ad.sample_gumbel(rng, (3, small_cfg.vocab_size))
+        noise_seed = int(rng.integers(2 ** 32))
         targets = rng.integers(small_cfg.n_concepts, size=3)
 
         def batch_loss():
             tape = Tape()
             symbol, _ = sender_forward(tape, sender, small_cfg, feats,
-                                       small_cfg.temperature, noise=noise)
+                                       small_cfg.temperature,
+                                       np.random.default_rng(noise_seed))
             lp = receiver_forward(tape, receiver, small_cfg, symbol, feats)
             return tape, ad.nll_loss(tape, lp, targets)
 

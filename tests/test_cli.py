@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from cellang import training
+from cellang.analysis import contingency
 from cellang.cli import (_KEYS, _SECTIONS, main, parse_config_text,
                          resolve_configs)
+from cellang.data import load_table, save_table, stratified_split
 from cellang.errors import ConfigError
 from cellang.game import play_round
 
@@ -270,6 +273,26 @@ class TestTrain:
                      "--out", str(tmp_path / "more"), "--quiet",
                      "--resume", str(out / "checkpoint.npz")]) == 0
 
+    def test_resume_of_finished_run_trains_no_epoch(self, tmp_path):
+        data, cfg = tmp_path / "data.csv", tmp_path / "run.cfg"
+        assert main(GEN_ARGS + ["--out", str(data)]) == 0
+        config = with_line("train.max_epochs=30",
+                           with_line("train.early_stop_patience=2"))
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(cfg), "--data", str(data), "--quiet"]
+        assert main(argv + ["--out", str(out)]) == 0
+        history = (out / "history.csv").read_bytes()
+        assert len(history.splitlines()) - 1 < 30  # patience ended it
+        resume = ["--resume", str(out / "checkpoint.npz")]
+        assert main(argv + ["--out", str(out)] + resume) == 0
+        assert (out / "history.csv").read_bytes() == history
+        # A raised patience trains on from where the run stopped.
+        cfg.write_text(with_line("train.early_stop_patience=4", config))
+        assert main(argv + ["--out", str(tmp_path / "more")] + resume) == 0
+        longer = (tmp_path / "more" / "history.csv").read_bytes()
+        assert longer.startswith(history) and len(longer) > len(history)
+
     def test_non_finite_loss_exit_code(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "d.csv"
         main(GEN_ARGS + ["--out", str(data)])
@@ -333,17 +356,22 @@ class TestEval:
                      "--data", str(data), "--split", "test",
                      "--episodes", "200", "--seed", "1",
                      "--out", str(ev)]) == 0
-        symbols = (ev / "symbols.csv").read_text().strip().splitlines()
-        assert len(symbols) == 201
+        with open(ev / "symbols.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["class", "symbol_index"] and len(rows) == 200
+        # The long-form rows count up to the report's and the exported
+        # class x symbol tables.
+        labels = ["a", "b", "c"]
+        table = contingency([labels.index(c) for c, _ in rows],
+                            [int(v) for _, v in rows], labels, 8)
         report = (ev / "report.txt").read_text()
-        # report accuracy must equal a recomputation from the export log
-        from cellang.analysis import load_symbol_distribution
-        table = load_symbol_distribution(ev / "symbols.csv",
-                                         ["a", "b", "c"], 8)
-        assert table.total == 200
         assert "identification_accuracy=" in report
-        assert (ev / "contingency.csv").exists() or \
-            (ev / "symbols_contingency.csv").exists()
+        for label, counts in zip(labels, table.counts.tolist()):
+            assert "contingency.%s=%s" % (
+                label, ",".join(map(str, counts))) in report.splitlines()
+        with open(ev / "symbols_contingency.csv", newline="") as fh:
+            exported = [row[1:] for row in list(csv.reader(fh))[1:]]
+        assert np.array_equal(np.array(exported, dtype=int), table.counts)
 
     def test_byte_identical_reports(self, tiny_run):
         tmp_path, data, _, out = tiny_run
@@ -408,6 +436,21 @@ class TestEval:
             assert main(argv + ["--data", str(other)]) == 2, argv[0]
             assert "splits differ" in capsys.readouterr().err
             assert not (tmp_path / "ev").exists()
+
+    def test_edited_test_row_rejected(self, tiny_run, capsys):
+        # The fingerprint covers the whole table, so an edit to a row that
+        # only the test split holds is refused too.
+        tmp_path, data, _, out = tiny_run
+        table = load_table(data)
+        test_row = stratified_split(table, seed=0)[2].features[0]
+        i = int(np.flatnonzero((table.features == test_row).all(axis=1))[0])
+        table.features[i, 0] += 3.0
+        save_table(table, data)
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--data", str(data), "--split", "test",
+                     "--out", str(tmp_path / "ev")]) == 2
+        assert "another table" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_dimension_mismatch_rejected(self, tiny_run, tmp_path):
         _, _, _, out = tiny_run

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cellang import autodiff as ad
 from cellang.agents import GameConfig, init_params, named_params
 from cellang.autodiff import backward
 from cellang.data import Dataset, SyntheticSpec, generate_synthetic
@@ -120,6 +119,22 @@ class TestSampleEpisode:
         assert np.array_equal(np.unique(drawn.rows),
                               np.arange(len(split_uneven)))
 
+    def test_target_slot_independent_of_target_class(self, split5):
+        # Sender-sees-all shows the target first, so the receiver's slot of
+        # the target must not depend on which class is the target: over
+        # 10,000 episodes, (target class, receiver slot) is uniform on K x K.
+        cfg = GameConfig(variant="sender-sees-all")
+        n, k = 10000, cfg.n_concepts
+        drawn = sample_episode(split5, cfg, np.random.default_rng(13), n)
+        rounds = np.arange(n)
+        shown = drawn.rows[rounds[:, None], drawn.receiver_permutation]
+        target_row = drawn.rows[rounds, drawn.target_index]
+        slot = (shown == target_row[:, None]).argmax(axis=1)
+        counts = np.bincount(drawn.target_index * k + slot, minlength=k * k)
+        expected = n / (k * k)
+        chi2 = ((counts - expected) ** 2 / expected).sum()
+        assert chi2 < 51.18  # the 0.999 quantile of chi-square, 24 dof
+
     def test_empty_concept_names_it(self, small_cfg, split3):
         keep = split3.labels != "b"
         empty = Dataset(split3.features[keep], split3.labels[keep],
@@ -201,25 +216,25 @@ class TestBatchedRound:
                                          "sender-sees-target"])
     @pytest.mark.parametrize("batch", [1, 32])
     def test_matches_looped_single_rounds(self, split5, variant, batch):
-        # Acceptance-size game, frozen Gumbel noise. Reference: the same
-        # episodes, drawn and played one at a time (batches of 1), with the
-        # gradients accumulated over the loop.
+        # Acceptance-size game. Reference: the same episodes, drawn and
+        # played one at a time (batches of 1) with their Gumbel noise drawn
+        # in order from one generator, the gradients accumulated over the
+        # loop. One (B, V) noise draw is B (V,) draws.
         cfg = GameConfig(variant=variant)
         episodes = sample_episode(split5, cfg, np.random.default_rng(11),
                                   batch)
-        noise = ad.sample_gumbel(np.random.default_rng(12),
-                                 (batch, cfg.vocab_size))
         ref_params = init_params(cfg, 4)
         ref_rng, ref_rows = np.random.default_rng(11), []
+        ref_gumbel = np.random.default_rng(12)
         for b in range(batch):
             outcome, tape, loss = play_round(
                 sample_episode(split5, cfg, ref_rng, 1), *ref_params, cfg,
-                0.8, noise=noise[b:b + 1])
+                0.8, ref_gumbel)
             backward(tape, loss)
             ref_rows += list(outcome)
         params = init_params(cfg, 4)
         outcome, tape, loss = play_round(episodes, *params, cfg, 0.8,
-                                         noise=noise)
+                                         np.random.default_rng(12))
         assert len(tape.nodes) == 12
         backward(tape, loss)
         ref_mean = np.mean([row.loss for row in ref_rows])

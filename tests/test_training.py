@@ -6,7 +6,7 @@ import pytest
 
 from cellang import training
 from cellang.agents import GameConfig, init_params, named_params
-from cellang.analysis import identification_accuracy
+from cellang.analysis import build_report, identification_accuracy
 from cellang.autodiff import Tensor
 from cellang.cli import main
 from cellang.data import (DataConfig, SyntheticSpec, generate_synthetic,
@@ -161,7 +161,7 @@ class TestAdam:
 
     def test_parameters_are_views_into_flat_vectors(self, small_cfg,
                                                     one_epoch_checkpoint):
-        fresh = TrainState(small_cfg, tiny_train_cfg(), DataConfig(), 60, "")
+        fresh = TrainState(small_cfg, tiny_train_cfg(), DataConfig(), "")
         loaded = load_checkpoint(one_epoch_checkpoint)
         for state in (fresh, loaded):
             opt = state.optimizer
@@ -254,6 +254,19 @@ class TestTrainLoop:
             tcfg.resolved_seeds()["val_seed"]))
         assert acc == best
 
+    def test_one_symbol_per_class_vocabulary(self, tiny_setup):
+        # vocab_size == n_concepts, the smallest vocabulary allowed: one
+        # epoch trains, and evaluation gives a K x K class-symbol table.
+        cfg, train_s, val_s, test_s = tiny_setup
+        cfg = dataclasses.replace(cfg, vocab_size=cfg.n_concepts)
+        sender, receiver, history = train(train_s, val_s, cfg,
+                                          tiny_train_cfg(max_epochs=1))
+        assert len(history) == 1
+        report = build_report(evaluate(sender, receiver, test_s, cfg, 100, 0),
+                              test_s.concept_set, cfg.vocab_size)
+        assert report.contingency.counts.shape == (cfg.n_concepts,) * 2
+        assert report.contingency.total == 100
+
     def test_non_finite_loss_keeps_last_checkpoint(self, tiny_setup,
                                                     tmp_path, monkeypatch):
         cfg, train_s, val_s, _ = tiny_setup
@@ -308,6 +321,49 @@ class TestCheckpoint:
         train(train_s, val_s, cfg, half_cfg, checkpoint_path=path)
         _, _, resumed = train(train_s, val_s, cfg, full_cfg, resume_from=path)
         assert resumed == full_history
+
+    def test_resume_of_finished_run_trains_no_epoch(self, tiny_setup,
+                                                    tmp_path):
+        cfg, train_s, val_s, _ = tiny_setup
+        tcfg = tiny_train_cfg(max_epochs=30, early_stop_patience=2)
+        path = tmp_path / "ck.npz"
+        _, _, history = train(train_s, val_s, cfg, tcfg, checkpoint_path=path)
+        assert len(history) < tcfg.max_epochs  # patience ended it
+        saved = path.read_bytes()
+        _, _, resumed = train(train_s, val_s, cfg, tcfg, checkpoint_path=path,
+                              resume_from=path)
+        assert resumed == history
+        assert path.read_bytes() == saved
+        # A raised patience continues the run as if it had never stopped.
+        longer = dataclasses.replace(tcfg, early_stop_patience=4)
+        _, _, continued = train(train_s, val_s, cfg, longer, resume_from=path)
+        _, _, uninterrupted = train(train_s, val_s, cfg, longer)
+        assert continued == uninterrupted
+        assert len(continued) > len(history)
+
+    def test_best_epoch_is_first_highest_accuracy(self, small_cfg):
+        state = TrainState(small_cfg, tiny_train_cfg(), DataConfig(), "")
+        assert state.best_epoch() == -1
+        state.history = [{"val_accuracy": a} for a in (0.5, 0.75, 0.75, 0.5)]
+        assert state.best_epoch() == 1
+
+    def test_meta_holds_only_what_history_cannot_give(self, small_cfg,
+                                                      one_epoch_checkpoint,
+                                                      tmp_path):
+        with np.load(one_epoch_checkpoint) as npz:
+            meta = json.loads(npz["meta"].tobytes().decode("utf-8"))
+            assert any(k.startswith("best/") for k in npz.files)
+        assert set(meta) == {"version", "history", "game_cfg", "train_cfg",
+                             "data_cfg", "data_fingerprint", "adam_step",
+                             "episode_rng", "gumbel_rng"}
+        assert len(meta["history"]) == 1
+        # Before any epoch there is no best epoch, so no best/ arrays.
+        path = tmp_path / "fresh.npz"
+        save_checkpoint(path, TrainState(small_cfg, tiny_train_cfg(),
+                                         DataConfig(), ""))
+        with np.load(path) as npz:
+            assert not any(k.startswith("best/") for k in npz.files)
+        assert load_checkpoint(path).best_theta is None
 
     def test_truncated_file_rejected(self, tiny_setup, tmp_path):
         cfg, train_s, val_s, _ = tiny_setup
@@ -400,9 +456,11 @@ class TestCheckpoint:
     def test_version_1_rejected(self, small_cfg, one_epoch_checkpoint,
                                 tmp_path):
         # Also version 3, which held the Adam constants, the minibatch size
-        # and a temperature schedule as TrainConfig fields, and version 4,
-        # whose saved episode stream state fed the per-episode draw.
-        for version in (1, 3, 4):
+        # and a temperature schedule as TrainConfig fields; version 4, whose
+        # saved episode stream state fed the per-episode draw; and version
+        # 5, whose progress counters could disagree with its history and
+        # whose fingerprint left out the test split.
+        for version in (1, 3, 4, 5):
             rewrite_checkpoint(one_epoch_checkpoint, lambda meta, arrays:
                                meta.update(version=version))
             with pytest.raises(CheckpointError, match="version %d" % version):
