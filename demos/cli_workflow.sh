@@ -22,8 +22,6 @@ train.seed=0
 train.max_epochs=5
 train.episodes_per_epoch=200
 train.eval_episodes=100
-data.split_seed=0
-data.labels=a,b,c
 EOF
 
 python3 -m cellang.cli gen-data --counts 120,120,120 --labels a,b,c \

@@ -174,6 +174,8 @@ def sender_forward(tape, params, cfg, inputs, temperature=None, rng=None):
     drawn; otherwise it is a Gumbel-softmax sample at that temperature, its
     noise drawn from `rng`.
     """
+    if temperature is not None and rng is None:
+        raise ContractError("a temperature needs a generator: pass rng")
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim < 2 or inputs.shape[-2] != cfg.sender_inputs():
         raise ContractError(

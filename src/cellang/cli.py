@@ -13,9 +13,9 @@ from pathlib import Path
 from . import __version__
 from .agents import GameConfig
 from .analysis import build_report, export_symbol_distribution, write_report
-from .data import (DEFAULT_COUNTS, DEFAULT_LABELS, SPLIT_NAMES, DataConfig,
-                   SyntheticSpec, generate_synthetic, load_table, save_table,
-                   standardize, stratified_split)
+from .data import (DEFAULT_COUNTS, DEFAULT_LABELS, SPLIT_NAMES, SyntheticSpec,
+                   generate_synthetic, load_table, save_table, standardize,
+                   stratified_split)
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DimensionError, ParameterError, TrainingError)
 from .training import (TrainConfig, evaluate, history_csv, load_checkpoint,
@@ -29,15 +29,12 @@ def _opt_int(s):
 
 def _converters(config_cls):
     """key -> converter for a config dataclass: the type of the field's
-    default, except for None defaults (_opt_int) and tuple defaults, whose
-    type would read "a,b" as characters ("" is ())."""
-    special = {type(None): _opt_int,
-               tuple: lambda s: tuple(s.split(",")) if s else ()}
-    return {f.name: special.get(type(f.default), type(f.default))
+    default, or _opt_int for a None default."""
+    return {f.name: _opt_int if f.default is None else type(f.default)
             for f in fields(config_cls)}
 
 
-_SECTIONS = {"game": GameConfig, "train": TrainConfig, "data": DataConfig}
+_SECTIONS = {"game": GameConfig, "train": TrainConfig}
 # section -> key -> converter.
 _KEYS = {name: _converters(cls) for name, cls in _SECTIONS.items()}
 
@@ -63,7 +60,7 @@ def parse_config_text(text, source="<config>"):
 
 
 def resolve_configs(kv, source="<config>"):
-    """Turn flat key=value pairs into (GameConfig, TrainConfig, DataConfig)."""
+    """Turn flat key=value pairs into (GameConfig, TrainConfig)."""
     values = {name: {} for name in _SECTIONS}
     for key, value in kv.items():
         prefix, _, name = key.partition(".")
@@ -83,25 +80,21 @@ def resolve_configs(kv, source="<config>"):
         raise ConfigError("%s: %s" % (source, exc))
 
 
-def _manifest_value(value):
-    """A config value as resolve_configs reads it back."""
-    if value is None:
-        return "none"
-    return ",".join(value) if isinstance(value, tuple) else value
-
-
 def _write_manifest(path, header_pairs, config=None):
     lines = ["# cellang %s" % __version__]
     lines += ["# %s=%s" % (k, v) for k, v in header_pairs]
-    lines += ["%s=%s" % (k, _manifest_value(v))
+    # "none" is how resolve_configs reads a None value back.
+    lines += ["%s=%s" % (k, "none" if v is None else v)
               for k, v in (config or {}).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _prepare_splits(data_path, game_cfg, data_cfg):
-    dataset = load_table(data_path, concepts=data_cfg.labels or None,
-                         feature_dim=game_cfg.feature_dim)
-    return standardize(*stratified_split(dataset, seed=data_cfg.split_seed))
+def _prepare_splits(data_path, game_cfg):
+    """The standardized (train, val, test) splits of a table: every run
+    splits with seed 0, its classes the table's labels in order of first
+    appearance."""
+    dataset = load_table(data_path, feature_dim=game_cfg.feature_dim)
+    return standardize(*stratified_split(dataset, seed=0))
 
 
 def cmd_gen_data(args):
@@ -134,9 +127,9 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     text = Path(args.config).read_text(encoding="utf-8")
-    game_cfg, train_cfg, data_cfg = resolve_configs(
-        parse_config_text(text, args.config), args.config)
-    train_split, val_split, _ = _prepare_splits(args.data, game_cfg, data_cfg)
+    game_cfg, train_cfg = resolve_configs(parse_config_text(text, args.config),
+                                          args.config)
+    train_split, val_split, _ = _prepare_splits(args.data, game_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -147,11 +140,11 @@ def cmd_train(args):
 
     _, _, history = train(train_split, val_split, game_cfg, train_cfg,
                           checkpoint_path=out / "checkpoint.npz",
-                          resume_from=args.resume, log=log, data_cfg=data_cfg)
+                          resume_from=args.resume, log=log)
     (out / "history.csv").write_text(history_csv(history), encoding="utf-8")
     _write_manifest(out / "manifest.txt",
                     [("command", "train"), ("data", args.data)],
-                    run_config(game_cfg, train_cfg, data_cfg))
+                    run_config(game_cfg, train_cfg))
     print("best val accuracy: %.4f" % max(r["val_accuracy"] for r in history))
     return 0
 
@@ -163,7 +156,7 @@ def cmd_eval(args):
         raise ConfigError("--seed must be >= 0, got %d" % args.seed)
     state = load_checkpoint(args.checkpoint)
     game_cfg = state.game_cfg
-    splits = _prepare_splits(args.data, game_cfg, state.data_cfg)
+    splits = _prepare_splits(args.data, game_cfg)
     state.check_data(*splits[:2])
     split = splits[SPLIT_NAMES.index(args.split)]
     sender, receiver = state.best()

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import ConfigFields
-from .errors import ContractError, DataError, ParameterError
+from .errors import ContractError, DataError
 
 DEFAULT_LABELS = ("CD3", "CD20", "CD68", "Claudin1", "Negative")
 DEFAULT_COUNTS = (138, 132, 177, 391, 3287)
@@ -64,7 +63,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if len(self.n_per_class) != len(self.labels):
             raise DataError("n_per_class and labels lengths differ")
-        _check_labels(self.labels, DataError)
+        _check_labels(self.labels)
         if any(n < 1 for n in self.n_per_class):
             raise DataError("all class counts must be positive")
         if not 0 < self.noise_sigma < math.inf:
@@ -78,38 +77,23 @@ class SyntheticSpec:
             raise DataError("seed must be >= 0")
 
 
-@dataclass
-class DataConfig(ConfigFields):
-    """How a run turns a table into splits. Empty `labels` means the
-    table's labels in order of first appearance."""
-    split_seed: int = 0
-    labels: tuple = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.split_seed < 0:
-            raise ParameterError("split_seed must be >= 0")
-        self.labels = tuple(self.labels)  # JSON restores a list
-        _check_labels(self.labels, ParameterError)
-
-
-def _check_labels(labels, error):
-    """Raise `error` for an empty or repeated class label."""
+def _check_labels(labels):
+    """DataError for an empty or repeated class label."""
     if "" in labels or len(set(labels)) < len(labels):
-        raise error("class labels must be distinct and non-empty, got %r"
-                    % (tuple(labels),))
+        raise DataError("class labels must be distinct and non-empty, got %r"
+                        % (tuple(labels),))
 
 
 def _feature_columns(n):
     return ["f%02d" % i for i in range(n)]
 
 
-def load_table(path, concepts=None, feature_dim=None):
+def load_table(path, feature_dim=None):
     """Read a `label,f00,...` CSV into a Dataset.
 
-    When `concepts` is given, labels outside it are rejected; otherwise the
-    concept set is the labels in order of first appearance. The concept set
-    must not hold an empty or repeated label.
+    The concept set is the labels in order of first appearance; an empty
+    label is a DataError. With `feature_dim`, a table of another width is
+    a DataError too.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -132,9 +116,6 @@ def load_table(path, concepts=None, feature_dim=None):
                 raise DataError("%s: row %d has %d columns, expected %d"
                                 % (path, lineno, len(row), n_feat + 1))
             label = row[0]
-            if concepts is not None and label not in concepts:
-                raise DataError("%s: row %d has unknown label %r"
-                                % (path, lineno, label))
             try:
                 feats = [float(v) for v in row[1:]]
             except ValueError:
@@ -147,10 +128,9 @@ def load_table(path, concepts=None, feature_dim=None):
                 seen.append(label)
             values.extend(feats)
             labels.append(label)
-    concept_set = list(concepts) if concepts is not None else seen
-    _check_labels(concept_set, DataError)
+    _check_labels(seen)
     features = np.array(values, dtype=np.float64).reshape(len(labels), n_feat)
-    return Dataset(features, np.array(labels, dtype=str), concept_set)
+    return Dataset(features, np.array(labels, dtype=str), seen)
 
 
 def save_table(dataset, path):

@@ -2,6 +2,7 @@
 single-file checkpointing with bit-exact resume."""
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -10,12 +11,12 @@ import numpy as np
 from .agents import ConfigFields, GameConfig, init_params, named_params
 from .analysis import identification_accuracy
 from .autodiff import backward
-from .data import DataConfig, fingerprint
+from .data import fingerprint
 from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
 from .game import RoundOutcome, play_round, sample_episode
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 # Adam's moment decay rates and denominator offset, Kingma & Ba's defaults.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # Rounds per training minibatch and per evaluation forward pass; it also
@@ -54,11 +55,10 @@ class TrainConfig(ConfigFields):
             ("init_seed", "episode_seed", "gumbel_seed", "val_seed"), derived)}
 
 
-def run_config(game_cfg, train_cfg, data_cfg):
+def run_config(game_cfg, train_cfg):
     """A run's configuration as flat `section.key` -> value: what a
     manifest records."""
-    sections = {"game": game_cfg.to_dict(), "train": train_cfg.to_dict(),
-                "data": data_cfg.to_dict()}
+    sections = {"game": game_cfg.to_dict(), "train": train_cfg.to_dict()}
     return {"%s.%s" % (section, k): v
             for section, items in sections.items() for k, v in items.items()}
 
@@ -144,10 +144,9 @@ class TrainState:
     """Everything needed to continue training bit-exactly. `history` is the
     one record of how far the run got: one row per finished epoch."""
 
-    def __init__(self, game_cfg, train_cfg, data_cfg, data_fingerprint):
+    def __init__(self, game_cfg, train_cfg, data_fingerprint):
         self.game_cfg = game_cfg
         self.train_cfg = train_cfg
-        self.data_cfg = data_cfg
         # Of the train and val splits and the table they were cut from.
         self.data_fingerprint = data_fingerprint
         seeds = train_cfg.resolved_seeds()
@@ -180,8 +179,7 @@ class TrainState:
 
 
 def train(train_split, val_split, game_cfg, train_cfg,
-          checkpoint_path=None, resume_from=None, log=None,
-          data_cfg=DataConfig()):
+          checkpoint_path=None, resume_from=None, log=None):
     """Optimize the agents on the training split.
 
     Plays minibatches of BATCH_ROUNDS rounds with relaxed symbols at
@@ -190,16 +188,16 @@ def train(train_split, val_split, game_cfg, train_cfg,
     early_stop_patience epochs without improvement, both read off the
     history, so resuming a finished run trains no epoch. Returns (best
     sender, best receiver, history).
-    `data_cfg` records how the splits were made. A resumed run must keep
-    the checkpoint's configuration, except for RESUMABLE_KEYS, and its
-    splits (a DataError otherwise). A non-finite loss or gradient raises
-    TrainingError; the checkpoint then still holds the last whole epoch.
+    A resumed run must keep the checkpoint's configuration, except for
+    RESUMABLE_KEYS, and its splits and their table (a DataError otherwise).
+    A non-finite loss or gradient raises TrainingError; the checkpoint then
+    still holds the last whole epoch.
     """
     if resume_from is not None:
         state = load_checkpoint(resume_from)
-        saved = run_config(state.game_cfg, state.train_cfg, state.data_cfg)
+        saved = run_config(state.game_cfg, state.train_cfg)
         changed = ["%s (checkpoint %s, config %s)" % (k, saved[k], v)
-                   for k, v in run_config(game_cfg, train_cfg, data_cfg).items()
+                   for k, v in run_config(game_cfg, train_cfg).items()
                    if v != saved[k] and k not in RESUMABLE_KEYS]
         if changed:
             raise ConfigError("resume may change only %s, not %s"
@@ -208,7 +206,7 @@ def train(train_split, val_split, game_cfg, train_cfg,
         state.check_data(train_split, val_split)
         state.train_cfg = train_cfg
     else:
-        state = TrainState(game_cfg, train_cfg, data_cfg,
+        state = TrainState(game_cfg, train_cfg,
                            fingerprint(train_split, val_split))
     cfg, tcfg, history = state.game_cfg, state.train_cfg, state.history
     while (len(history) < tcfg.max_epochs
@@ -264,7 +262,6 @@ def save_checkpoint(path, state):
         "history": state.history,
         "game_cfg": state.game_cfg.to_dict(),
         "train_cfg": state.train_cfg.to_dict(),
-        "data_cfg": state.data_cfg.to_dict(),
         "data_fingerprint": state.data_fingerprint,
         "adam_step": state.optimizer.step_count,
         "episode_rng": state.episode_rng.bit_generator.state,
@@ -310,14 +307,29 @@ def load_checkpoint(path):
         raise CheckpointError("checkpoint %s is invalid: %s" % (path, exc))
 
 
+def _checked_history(history):
+    """`history` if it is a list of rows that each hold exactly the
+    HISTORY_HEADER keys, finite numbers, and their own position as `epoch`;
+    ValueError otherwise."""
+    keys = set(HISTORY_HEADER.split(","))
+    if not isinstance(history, list):
+        raise ValueError("history is not a list")
+    for i, row in enumerate(history):
+        if not (isinstance(row, dict) and set(row) == keys
+                and all(type(v) in (int, float) and math.isfinite(v)
+                        for v in row.values())
+                and type(row["epoch"]) is int and row["epoch"] == i):
+            raise ValueError("history row %d is malformed: %r" % (i, row))
+    return history
+
+
 def _restore_state(meta, arrays):
     """TrainState built from the checkpoint's configs, then overwritten with
     its saved values; KeyError names a key that meta or arrays lack."""
     state = TrainState(GameConfig.from_dict(meta["game_cfg"]),
                        TrainConfig.from_dict(meta["train_cfg"]),
-                       DataConfig.from_dict(meta["data_cfg"]),
                        meta["data_fingerprint"])
-    state.history = meta["history"]
+    state.history = _checked_history(meta["history"])
     if state.history:  # saved once there is a best epoch
         state.best_theta = np.empty_like(state.optimizer.theta)
     for k, live in _checkpoint_arrays(state).items():

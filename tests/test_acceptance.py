@@ -384,7 +384,6 @@ train.seed=0
 train.max_epochs=4
 train.episodes_per_epoch=60
 train.eval_episodes=40
-data.labels=a,b,c
 """
 
 

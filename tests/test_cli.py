@@ -30,8 +30,6 @@ train.seed=0
 train.max_epochs=2
 train.episodes_per_epoch=40
 train.eval_episodes=30
-data.split_seed=0
-data.labels=a,b,c
 """
 
 
@@ -65,10 +63,9 @@ def tiny_run(tmp_path):
 class TestConfigParsing:
     def test_round_trip(self):
         kv = parse_config_text(TINY_CONFIG)
-        game_cfg, train_cfg, data_cfg = resolve_configs(kv)
+        game_cfg, train_cfg = resolve_configs(kv)
         assert game_cfg.vocab_size == 8
         assert train_cfg.max_epochs == 2
-        assert data_cfg.labels == ("a", "b", "c")
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="game.bogus"):
@@ -89,13 +86,13 @@ class TestConfigParsing:
         assert main(["train", "--config", str(cfg),
                      "--data", str(tmp_path / "unread.csv"),
                      "--out", str(tmp_path / "o")]) == 1
-        assert "line 15: key 'train.seed' repeats line 9" in \
+        assert "line 13: key 'train.seed' repeats line 9" in \
             capsys.readouterr().err
 
     def test_readme_key_table_lists_every_key(self):
         section = README.split("### Config file keys", 1)[1].split("\n#")[0]
         rows = dict(re.findall(r"^\| `(\w+)\.` \| (.*) \|$", section, re.M))
-        assert set(rows) == set(_KEYS) == {"game", "train", "data"}
+        assert set(rows) == set(_KEYS) == {"game", "train"}
         for name, keys in rows.items():
             assert set(re.findall(r"`(\w+)`", keys)) == set(_KEYS[name]), name
             # Every numeric or None default is stated, as the first word in
@@ -198,12 +195,14 @@ class TestTrain:
         cfg = tmp_path / "bad.cfg"
         for bad in ("train.episodes_per_epoch=0", "train.learning_rate=nan",
                     "train.learning_rate=inf", "game.temperature=nan",
-                    "train.seed=-1", "data.split_seed=-1",
-                    "data.labels=a,b,c,a", "data.labels=a,,b,c",
+                    "train.seed=-1",
                     # Lines of a manifest written before the per-stream seed
-                    # overrides, data.standardize, the Adam constants and
-                    # the temperature schedule were removed: refused, never
+                    # overrides, the data section (split_seed, labels and
+                    # standardize), the Adam constants and the temperature
+                    # schedule were removed: refused as unknown keys, never
                     # run differently.
+                    "data.split_seed=-1", "data.labels=a,b,c,a",
+                    "data.labels=a,,b,c",
                     "train.init_seed=5", "data.standardize=true",
                     "train.beta1=0.9", "train.temp_decay_epochs=0"):
             cfg.write_text(with_line(bad))
@@ -258,7 +257,7 @@ class TestTrain:
         tmp_path, data, _, out = tiny_run
         before = {f.name: f.read_bytes() for f in out.iterdir()}
         cfg = tmp_path / "resume.cfg"
-        for changed in ("train.learning_rate=0.05", "data.split_seed=5"):
+        for changed in ("train.learning_rate=0.05", "train.eval_episodes=20"):
             cfg.write_text(with_line(changed))
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(out), "--quiet",
@@ -267,7 +266,7 @@ class TestTrain:
             assert "resume may change only" in err
             assert changed.partition("=")[0] in err
             assert {f.name: f.read_bytes() for f in out.iterdir()} == before
-        # An unchanged config, labels included, resumes.
+        # An unchanged config resumes.
         cfg.write_text(TINY_CONFIG.replace("max_epochs=2", "max_epochs=3"))
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "more"), "--quiet",
@@ -327,13 +326,13 @@ class TestTrain:
         assert not out.exists()
 
     def test_empty_label_rejected(self, tmp_path, capsys):
-        # Without data.labels the table's own labels are the classes, and
-        # an empty one is refused as it would be in data.labels.
+        # The table's own labels are the classes, and an empty one is
+        # refused.
         data = tmp_path / "d.csv"
         main(GEN_ARGS + ["--out", str(data)])
         data.write_text(re.sub(r"(?m)^a,", ",", data.read_text()))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(with_line("data.labels="))
+        cfg.write_text(TINY_CONFIG)
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(out)]) == 2

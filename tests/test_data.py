@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, SPLIT_FRACTIONS,
-                          DataConfig, Dataset, SyntheticSpec,
-                          generate_synthetic, load_table, save_table,
-                          standardize, stratified_split)
-from cellang.errors import ContractError, DataError, ParameterError
+                          Dataset, SyntheticSpec, generate_synthetic,
+                          load_table, save_table, standardize,
+                          stratified_split)
+from cellang.errors import ContractError, DataError
 
 
 def make_dataset(counts, labels, seed=0, dim=4):
@@ -45,19 +45,6 @@ class TestLoadTable:
         path.write_text("label,f00\na,oops\n")
         with pytest.raises(DataError, match="row 2"):
             load_table(path)
-
-    def test_unknown_label_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("label,f00\nweird,1.0\n")
-        with pytest.raises(DataError, match="'weird'"):
-            load_table(path, concepts=["a", "b"])
-
-    @pytest.mark.parametrize("concepts", [("a", "b", "a"), ("a", "", "b")])
-    def test_repeated_or_empty_concept_rejected(self, tmp_path, concepts):
-        path = tmp_path / "t.csv"
-        path.write_text("label,f00\na,1.0\nb,2.0\n")
-        with pytest.raises(DataError, match="distinct and non-empty"):
-            load_table(path, concepts=concepts)
 
     def test_empty_label_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -254,10 +241,3 @@ class TestGenerateSynthetic:
                 expected[width * c:width * (c + 1)] = 4.0
             mean = ds.features[ds.by_label(label)].mean(axis=0)
             assert np.abs(mean - expected).max() < 0.1, label
-
-
-class TestDataConfig:
-    @pytest.mark.parametrize("labels", [("a", "b", "a"), ("a", "", "b")])
-    def test_repeated_or_empty_label_rejected(self, labels):
-        with pytest.raises(ParameterError, match="distinct and non-empty"):
-            DataConfig(labels=labels)

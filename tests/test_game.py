@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cellang.agents import GameConfig, init_params, named_params
-from cellang.autodiff import backward
+from cellang.agents import (GameConfig, init_params, named_params,
+                            sender_forward)
+from cellang.autodiff import Tape, backward
 from cellang.data import Dataset, SyntheticSpec, generate_synthetic
 from cellang.errors import ContractError, DataError
 from cellang.game import play_round, sample_episode
@@ -159,6 +160,16 @@ class TestPlayRound:
         ep = sample_episode(split3, small_cfg, rng, 8)
         outcome, _, _ = play_round(ep, sender, receiver, small_cfg)
         assert np.abs(outcome.loss - np.log(3)).max() < 1e-12
+
+    def test_temperature_without_generator_names_rng(self, small_cfg, split3):
+        # Checked in sender_forward, so play_round refuses it the same way.
+        sender, receiver = init_params(small_cfg, 0)
+        ep = sample_episode(split3, small_cfg, np.random.default_rng(4), 2)
+        with pytest.raises(ContractError, match="rng"):
+            sender_forward(Tape(), sender, small_cfg, ep.features[ep.rows],
+                           1.0)
+        with pytest.raises(ContractError, match="rng"):
+            play_round(ep, sender, receiver, small_cfg, 1.0)
 
     def test_chance_level_for_random_agents(self, small_cfg, split3):
         # A single random init can exceed chance by accidental sender and

@@ -9,8 +9,8 @@ from cellang.agents import GameConfig, init_params, named_params
 from cellang.analysis import build_report, identification_accuracy
 from cellang.autodiff import Tensor
 from cellang.cli import main
-from cellang.data import (DataConfig, SyntheticSpec, generate_synthetic,
-                          save_table, standardize, stratified_split)
+from cellang.data import (SyntheticSpec, generate_synthetic, save_table,
+                          standardize, stratified_split)
 from cellang.errors import (CheckpointError, ConfigError, DataError,
                             ParameterError, TrainingError)
 from cellang.game import play_round, sample_episode
@@ -161,7 +161,7 @@ class TestAdam:
 
     def test_parameters_are_views_into_flat_vectors(self, small_cfg,
                                                     one_epoch_checkpoint):
-        fresh = TrainState(small_cfg, tiny_train_cfg(), DataConfig(), "")
+        fresh = TrainState(small_cfg, tiny_train_cfg(), "")
         loaded = load_checkpoint(one_epoch_checkpoint)
         for state in (fresh, loaded):
             opt = state.optimizer
@@ -342,7 +342,7 @@ class TestCheckpoint:
         assert len(continued) > len(history)
 
     def test_best_epoch_is_first_highest_accuracy(self, small_cfg):
-        state = TrainState(small_cfg, tiny_train_cfg(), DataConfig(), "")
+        state = TrainState(small_cfg, tiny_train_cfg(), "")
         assert state.best_epoch() == -1
         state.history = [{"val_accuracy": a} for a in (0.5, 0.75, 0.75, 0.5)]
         assert state.best_epoch() == 1
@@ -354,13 +354,12 @@ class TestCheckpoint:
             meta = json.loads(npz["meta"].tobytes().decode("utf-8"))
             assert any(k.startswith("best/") for k in npz.files)
         assert set(meta) == {"version", "history", "game_cfg", "train_cfg",
-                             "data_cfg", "data_fingerprint", "adam_step",
-                             "episode_rng", "gumbel_rng"}
+                             "data_fingerprint", "adam_step", "episode_rng",
+                             "gumbel_rng"}
         assert len(meta["history"]) == 1
         # Before any epoch there is no best epoch, so no best/ arrays.
         path = tmp_path / "fresh.npz"
-        save_checkpoint(path, TrainState(small_cfg, tiny_train_cfg(),
-                                         DataConfig(), ""))
+        save_checkpoint(path, TrainState(small_cfg, tiny_train_cfg(), ""))
         with np.load(path) as npz:
             assert not any(k.startswith("best/") for k in npz.files)
         assert load_checkpoint(path).best_theta is None
@@ -377,7 +376,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key", ["game_cfg.vocab_size",
                                      "game_cfg.variant",
-                                     "data_cfg.split_seed"])
+                                     "train_cfg.eval_episodes"])
     def test_missing_meta_key_rejected(self, one_epoch_checkpoint, key):
         def drop_key(meta, arrays):
             *parents, name = key.split(".")
@@ -430,39 +429,85 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "learning_rate", 0.05), ("game", "vocab_size", 20),
-        ("train", "seed", 7), ("data", "split_seed", 5),
+        ("train", "seed", 7), ("train", "eval_episodes", 40),
     ])
     def test_resume_refuses_changed_config(self, tiny_setup,
                                            one_epoch_checkpoint,
                                            section, key, value):
         cfg, train_s, val_s, _ = tiny_setup
         configs = {"game": cfg,
-                   "train": tiny_train_cfg(),  # a raised max_epochs may resume
-                   "data": DataConfig()}
+                   "train": tiny_train_cfg()}  # a raised max_epochs may resume
         configs[section] = dataclasses.replace(configs[section],
                                                **{key: value})
         with pytest.raises(ConfigError, match="%s.%s" % (section, key)):
             train(train_s, val_s, configs["game"], configs["train"],
-                  resume_from=one_epoch_checkpoint, data_cfg=configs["data"])
+                  resume_from=one_epoch_checkpoint)
 
     def test_resume_refuses_other_data(self, small_cfg, one_epoch_checkpoint):
-        # Same (default) DataConfig, other rows: only the fingerprint differs.
+        # Same configs, other rows: only the fingerprint differs.
         for table_seed, split_seed in ((1, 0), (0, 1)):
             train_s, val_s, _ = tiny_splits(small_cfg, table_seed, split_seed)
             with pytest.raises(DataError, match="splits differ"):
                 train(train_s, val_s, small_cfg, tiny_train_cfg(),
                       resume_from=one_epoch_checkpoint)
 
+    def test_eval_refuses_other_split_seed(self, small_cfg,
+                                           one_epoch_checkpoint, tmp_path,
+                                           capsys):
+        # The CLI splits every table with seed 0, so a library run trained
+        # on the seed-1 splits of the same table is refused.
+        data = tmp_path / "cells.csv"
+        save_table(tiny_table(small_cfg), data)
+        path = tmp_path / "seed1.npz"
+        train_s, val_s, _ = tiny_splits(small_cfg, split_seed=1)
+        train(train_s, val_s, small_cfg, tiny_train_cfg(max_epochs=1),
+              checkpoint_path=path)
+        for checkpoint, code in ((one_epoch_checkpoint, 0), (path, 2)):
+            assert main(["eval", "--checkpoint", str(checkpoint),
+                         "--data", str(data), "--episodes", "30",
+                         "--out", str(tmp_path / "ev")]) == code, checkpoint
+        assert "splits differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[0].__delitem__("val_accuracy"),
+        lambda rows: rows[0].update(epoch=1),
+        lambda rows: rows[0].update(epoch=0.0),
+        lambda rows: rows[0].update(train_loss="0.5"),
+        lambda rows: rows[0].update(temperature=None),
+        lambda rows: rows[0].update(val_accuracy=float("nan")),
+        lambda rows: rows[0].update(extra=1.0),
+        lambda rows: rows.append([1, 0.5, 0.5, 1.0]),
+        lambda rows: rows.__setitem__(0, {}),
+        lambda rows: {"0": rows[0]},
+    ], ids=["missing-key", "wrong-epoch", "float-epoch", "string-value",
+            "null-value", "nan-value", "extra-key", "row-not-object",
+            "empty-row", "not-a-list"])
+    def test_malformed_history_rejected(self, small_cfg, one_epoch_checkpoint,
+                                        tmp_path, edit):
+        # The history decides where a resumed run stands, so a history it
+        # could not have written is refused at load by both commands. `edit`
+        # changes the rows in place or returns a history to put instead.
+        def rewrite(meta, arrays):
+            meta["history"] = edit(meta["history"]) or meta["history"]
+
+        rewrite_checkpoint(one_epoch_checkpoint, rewrite)
+        with pytest.raises(CheckpointError, match="history"):
+            load_checkpoint(one_epoch_checkpoint)
+        assert cli_exit_codes(one_epoch_checkpoint, small_cfg,
+                              tmp_path) == (3, 3)
+
     def test_version_1_rejected(self, small_cfg, one_epoch_checkpoint,
                                 tmp_path):
         # Also version 3, which held the Adam constants, the minibatch size
         # and a temperature schedule as TrainConfig fields; version 4, whose
-        # saved episode stream state fed the per-episode draw; and version
-        # 5, whose progress counters could disagree with its history and
-        # whose fingerprint left out the test split.
-        for version in (1, 3, 4, 5):
+        # saved episode stream state fed the per-episode draw; version 5,
+        # whose progress counters could disagree with its history and whose
+        # fingerprint left out the test split; and version 6, the last to
+        # hold a data config (split seed and labels).
+        for version in (1, 3, 4, 5, 6):
             rewrite_checkpoint(one_epoch_checkpoint, lambda meta, arrays:
-                               meta.update(version=version))
+                               meta.update(version=version, data_cfg={
+                                   "split_seed": 0, "labels": []}))
             with pytest.raises(CheckpointError, match="version %d" % version):
                 load_checkpoint(one_epoch_checkpoint)
             assert cli_exit_codes(one_epoch_checkpoint, small_cfg,
