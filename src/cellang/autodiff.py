@@ -172,8 +172,8 @@ def sigmoid(tape, x):
     e = np.exp(-np.abs(xd))  # exp(-x) where x >= 0, exp(x) elsewhere
     d = 1.0 + e
     # 1/d where x >= 0, e/d elsewhere, in place: a batch's maps are large.
-    s = np.divide(1.0, d)
-    np.copyto(s, np.divide(e, d, out=e), where=xd < 0)
+    # e <= 1, so max(e, x >= 0) picks the numerator without a branch.
+    s = np.divide(np.maximum(e, xd >= 0, out=e), d, out=d)
     out = Tensor(s)
 
     def backward_fn(g):

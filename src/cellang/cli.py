@@ -130,8 +130,7 @@ def cmd_train(args):
     game_cfg, train_cfg = resolve_configs(parse_config_text(text, args.config),
                                           args.config)
     train_split, val_split, _ = _prepare_splits(args.data, game_cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # train makes it once a resume is accepted
 
     def log(row):
         if not args.quiet:

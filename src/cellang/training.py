@@ -5,6 +5,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +23,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # Rounds per training minibatch and per evaluation forward pass; it also
 # bounds sender-sees-all's (block, 20, 71) conv output.
 BATCH_ROUNDS = 32
+# Elements per pass of Adam.step: a chunk of its six vectors fits in L2.
+_ADAM_CHUNK = 16384
 HISTORY_HEADER = "epoch,train_loss,val_accuracy,temperature"
 # The config keys a resumed run may change: they only decide when it stops.
 RESUMABLE_KEYS = ("train.max_epochs", "train.early_stop_patience")
@@ -67,8 +70,9 @@ class Adam:
     """Adam with bias correction (Kingma & Ba, arXiv:1412.6980), at
     ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON and `cfg.learning_rate`, that owns
     the parameters: each Tensor's `.data`/`.grad` becomes a view into the
-    flat `theta`/`grad`, to assign into and never rebind. The scratch vectors
-    are allocated by the first step, so a state loaded only to evaluate never
+    flat `theta`/`grad`, to assign into and never rebind. A step runs
+    _ADAM_CHUNK elements at a time through two chunk-long scratch vectors,
+    allocated by the first step, so a state loaded only to evaluate never
     holds them."""
 
     def __init__(self, params, cfg):
@@ -92,28 +96,41 @@ class Adam:
                 for k, span, shape in self._layout}
 
     def step(self, grad_scale=1.0):
-        # In place, in the per-tensor formula's operation order so the bits
-        # match it: theta -= lr * m_hat / (sqrt(v_hat) + eps).
-        if self._g is None:
-            self._g, self._tmp = (np.empty_like(self.theta) for _ in range(2))
-        g, tmp = self._g, self._tmp
-        self.step_count += 1
-        np.multiply(self.grad, grad_scale, out=g)
-        if not np.isfinite(g).all():
-            bad = next(k for k, a in self.views(g).items()
-                       if not np.isfinite(a).all())
+        """One update from `grad * grad_scale`. If that product has a
+        non-finite element, raises TrainingError before `theta`, `m`, `v` or
+        `step_count` changes. The check scales only grad's min and max: a NaN
+        makes both NaN, and rounding keeps every other product between
+        theirs, so it holds for any grad_scale."""
+        if not all(math.isfinite(float(x) * grad_scale)
+                   for x in (self.grad.min(), self.grad.max())):
+            bad = next(k for k, a in self.views(self.grad).items()
+                       if not np.isfinite(a * grad_scale).all())
             raise TrainingError("non-finite gradient in %s" % bad)
-        self.m *= ADAM_BETA1
-        self.m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
-        self.v *= ADAM_BETA2
-        np.multiply(g, 1 - ADAM_BETA2, out=tmp)
-        self.v += np.multiply(tmp, g, out=tmp)
-        np.divide(self.v, 1 - ADAM_BETA2 ** self.step_count, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPSILON
-        np.divide(self.m, 1 - ADAM_BETA1 ** self.step_count, out=g)
-        g *= self.cfg.learning_rate
-        self.theta -= np.divide(g, tmp, out=g)
+        if self._g is None:
+            size = min(_ADAM_CHUNK, self.theta.size)
+            self._g, self._tmp = np.empty(size), np.empty(size)
+        self.step_count += 1
+        m_scale = 1 - ADAM_BETA1 ** self.step_count
+        v_scale = 1 - ADAM_BETA2 ** self.step_count
+        # In place, in the per-tensor formula's operation order so the bits
+        # match it: theta -= lr * m_hat / (sqrt(v_hat) + eps). Elementwise,
+        # so chunking changes no bit.
+        for start in range(0, self.theta.size, _ADAM_CHUNK):
+            span = slice(start, start + _ADAM_CHUNK)
+            theta, m, v = self.theta[span], self.m[span], self.v[span]
+            g, tmp = self._g[:theta.size], self._tmp[:theta.size]
+            np.multiply(self.grad[span], grad_scale, out=g)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
+            np.multiply(g, 1 - ADAM_BETA2, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            np.divide(v, v_scale, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPSILON
+            np.divide(m, m_scale, out=g)
+            g *= self.cfg.learning_rate
+            theta -= np.divide(g, tmp, out=g)
 
 
 def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
@@ -190,6 +207,7 @@ def train(train_split, val_split, game_cfg, train_cfg,
     sender, best receiver, history).
     A resumed run must keep the checkpoint's configuration, except for
     RESUMABLE_KEYS, and its splits and their table (a DataError otherwise).
+    The checkpoint's directory is made only once the resume is accepted.
     A non-finite loss or gradient raises TrainingError; the checkpoint then
     still holds the last whole epoch.
     """
@@ -208,6 +226,8 @@ def train(train_split, val_split, game_cfg, train_cfg,
     else:
         state = TrainState(game_cfg, train_cfg,
                            fingerprint(train_split, val_split))
+    if checkpoint_path is not None:
+        Path(checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
     cfg, tcfg, history = state.game_cfg, state.train_cfg, state.history
     while (len(history) < tcfg.max_epochs
            and len(history) - state.best_epoch() <= tcfg.early_stop_patience):

@@ -128,16 +128,25 @@ class TestSigmoid:
         assert 0.0 <= low.data[0] < 1e-12
 
     def test_matches_two_branch_formula_bit_for_bit(self):
-        xd = np.concatenate([[0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300],
-                             np.random.default_rng(0).normal(0, 10, 194)])
-        # Reference: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below.
-        ref = np.empty_like(xd)
-        pos = xd >= 0
-        ref[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-        ex = np.exp(xd[~pos])
-        ref[~pos] = ex / (1.0 + ex)
-        out = ad.sigmoid(Tape(), t(xd.reshape(8, 25)))
-        assert out.data.tobytes() == ref.reshape(8, 25).tobytes()
+        edges = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf,
+                 np.nan, 745.2, -745.2, 5e-324, -5e-324]
+        rng = np.random.default_rng(0)
+        # The last shape is sender-sees-all's conv output at the acceptance
+        # size.
+        for xd in (np.concatenate([edges, rng.normal(0, 10, 187)]
+                                  ).reshape(8, 25),
+                   rng.normal(0, 10, (32, 20, 71))):
+            # Reference: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below.
+            ref = np.empty_like(xd)
+            pos = xd >= 0
+            ref[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
+            ex = np.exp(xd[~pos])
+            ref[~pos] = ex / (1.0 + ex)
+            out = ad.sigmoid(Tape(), t(xd)).data
+            # NaN stays NaN; its sign bit is no part of either formula.
+            nan = np.isnan(xd)
+            assert np.array_equal(np.isnan(out), nan)
+            assert out[~nan].tobytes() == ref[~nan].tobytes()
 
     def test_gradient_at_zero(self):
         tape = Tape()

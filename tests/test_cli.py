@@ -272,6 +272,18 @@ class TestTrain:
                      "--out", str(tmp_path / "more"), "--quiet",
                      "--resume", str(out / "checkpoint.npz")]) == 0
 
+    def test_refused_resume_leaves_no_out_directory(self, tmp_path, capsys):
+        data, cfg = tmp_path / "data.csv", tmp_path / "run.cfg"
+        assert main(GEN_ARGS + ["--out", str(data)]) == 0
+        cfg.write_text(TINY_CONFIG)
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(b"not a checkpoint")
+        out = tmp_path / "newrun"
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out), "--quiet", "--resume", str(bad)]) == 3
+        assert "cannot read checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_of_finished_run_trains_no_epoch(self, tmp_path):
         data, cfg = tmp_path / "data.csv", tmp_path / "run.cfg"
         assert main(GEN_ARGS + ["--out", str(data)]) == 0

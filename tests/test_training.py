@@ -14,10 +14,10 @@ from cellang.data import (SyntheticSpec, generate_synthetic, save_table,
 from cellang.errors import (CheckpointError, ConfigError, DataError,
                             ParameterError, TrainingError)
 from cellang.game import play_round, sample_episode
-from cellang.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
-                              BATCH_ROUNDS, Adam, TrainConfig, TrainState,
-                              evaluate, history_csv, load_checkpoint,
-                              save_checkpoint, train)
+from cellang.training import (_ADAM_CHUNK, ADAM_BETA1, ADAM_BETA2,
+                              ADAM_EPSILON, BATCH_ROUNDS, Adam, TrainConfig,
+                              TrainState, evaluate, history_csv,
+                              load_checkpoint, save_checkpoint, train)
 
 
 def tiny_table(cfg, table_seed=0):
@@ -131,18 +131,34 @@ class TestAdam:
             opt.step()
         assert abs(p.data[0] - 3.0) < 0.01
 
+    def assert_step_refused(self, opt, name):
+        before = [a.copy() for a in (opt.theta, opt.m, opt.v)]
+        with pytest.raises(TrainingError, match="gradient in %s" % name):
+            opt.step(grad_scale=1.0 / 32)
+        assert opt.step_count == 0
+        for a, b in zip((opt.theta, opt.m, opt.v), before):
+            assert a.tobytes() == b.tobytes()
+
     def test_non_finite_gradient_aborts(self):
         params = {name: Tensor([0.0, 0.0], requires_grad=True)
                   for name in ("first", "second", "third")}
         opt = Adam(params, TrainConfig())
         params["second"].grad[1] = np.nan
-        with pytest.raises(TrainingError, match="gradient in second"):
-            opt.step()
-        assert not opt.theta.any()
+        self.assert_step_refused(opt, "second")
 
-    def test_matches_per_tensor_update_bit_for_bit(self, small_cfg):
+    def test_non_finite_gradient_in_last_chunk_aborts(self):
+        # At the default game's size a step runs several chunks; the NaN
+        # sits in the last one, after every other chunk could have moved.
+        params = named_params(*init_params(GameConfig(), 0))
+        opt = Adam(params, TrainConfig())
+        assert opt.theta.size > 2 * _ADAM_CHUNK
+        opt.grad[...] = 1.0
+        opt.grad[-1] = np.nan
+        self.assert_step_refused(opt, list(params)[-1])
+
+    def assert_matches_per_tensor_update(self, game_cfg):
         cfg = TrainConfig(learning_rate=3e-3)
-        params = named_params(*init_params(small_cfg, 0))
+        params = named_params(*init_params(game_cfg, 0))
         values = {k: p.data.copy() for k, p in params.items()}
         rng = np.random.default_rng(4)
         grads = [{k: rng.normal(scale=10.0 ** rng.integers(-4, 2),
@@ -158,6 +174,16 @@ class TestAdam:
             assert p.data.tobytes() == values[k].tobytes(), k
             assert opt.views(opt.m)[k].tobytes() == m[k].tobytes(), k
             assert opt.views(opt.v)[k].tobytes() == v[k].tobytes(), k
+        return opt
+
+    def test_matches_per_tensor_update_bit_for_bit(self, small_cfg):
+        self.assert_matches_per_tensor_update(small_cfg)
+
+    def test_matches_per_tensor_update_across_chunks(self):
+        # The default game's 144,590 elements are 8 full chunks and 13,518;
+        # the small game fits in one chunk.
+        opt = self.assert_matches_per_tensor_update(GameConfig())
+        assert divmod(opt.theta.size, _ADAM_CHUNK) == (8, 13518)
 
     def test_parameters_are_views_into_flat_vectors(self, small_cfg,
                                                     one_epoch_checkpoint):
@@ -178,7 +204,8 @@ class TestAdam:
         opt = load_checkpoint(one_epoch_checkpoint).optimizer
         assert opt._g is None and opt._tmp is None
         opt.step()
-        assert opt._g.shape == opt._tmp.shape == opt.theta.shape
+        size = min(_ADAM_CHUNK, opt.theta.size)
+        assert opt._g.shape == opt._tmp.shape == (size,)
 
 
 class TestEvaluate:
