@@ -10,18 +10,17 @@ set -e
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# No key sets the class count or the feature width: train reads both off
+# the table.
 cat > "$work/run.cfg" <<'EOF'
 game.variant=sender-sees-all
-game.n_concepts=3
 game.vocab_size=8
-game.feature_dim=6
 game.embed_dim=4
 game.conv_filters=3
 game.conv_width=2
 train.seed=0
 train.max_epochs=5
 train.episodes_per_epoch=200
-train.eval_episodes=100
 EOF
 
 python3 -m cellang.cli gen-data --counts 120,120,120 --labels a,b,c \

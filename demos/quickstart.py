@@ -27,7 +27,7 @@ def main():
                           embed_dim=4, conv_filters=3, conv_width=2,
                           variant=Variant.SENDER_SEES_ALL)
     train_cfg = TrainConfig(max_epochs=40, episodes_per_epoch=400,
-                            eval_episodes=100, learning_rate=5e-3, seed=0)
+                            learning_rate=5e-3, seed=0)
 
     def log(row):
         print("epoch %2d  loss %.3f  val acc %.2f"

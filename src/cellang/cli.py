@@ -1,6 +1,7 @@
 """Command-line entry point: `gen-data`, `train` and `eval` subcommands.
 
-Model hyperparameters live in a flat key=value config file; flags carry only
+Model hyperparameters live in a flat key=value config file, except the class
+count and feature width, which `train` reads off its table; flags carry only
 paths, seeds and episode counts. Every run directory receives a manifest
 that reproduces the run bit-exactly when fed back as the config.
 """
@@ -27,11 +28,16 @@ def _opt_int(s):
     return None if s.lower() == "none" else int(s)
 
 
+# The GameConfig fields `train` reads off its table and no config sets: the
+# labels fix the candidates per round, the feature columns the input width.
+TABLE_FIELDS = ("n_concepts", "feature_dim")
+
+
 def _converters(config_cls):
-    """key -> converter for a config dataclass: the type of the field's
-    default, or _opt_int for a None default."""
+    """key -> converter for a config dataclass's fields but TABLE_FIELDS:
+    the type of the field's default, or _opt_int for a None default."""
     return {f.name: _opt_int if f.default is None else type(f.default)
-            for f in fields(config_cls)}
+            for f in fields(config_cls) if f.name not in TABLE_FIELDS}
 
 
 _SECTIONS = {"game": GameConfig, "train": TrainConfig}
@@ -59,9 +65,10 @@ def parse_config_text(text, source="<config>"):
     return kv
 
 
-def resolve_configs(kv, source="<config>"):
-    """Turn flat key=value pairs into (GameConfig, TrainConfig)."""
-    values = {name: {} for name in _SECTIONS}
+def resolve_configs(kv, source="<config>", **table_fields):
+    """Turn flat key=value pairs into (GameConfig, TrainConfig), with the
+    TABLE_FIELDS given as keywords (their GameConfig defaults otherwise)."""
+    values = {"game": dict(table_fields), "train": {}}
     for key, value in kv.items():
         prefix, _, name = key.partition(".")
         known = _KEYS.get(prefix, {})
@@ -89,12 +96,11 @@ def _write_manifest(path, header_pairs, config=None):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _prepare_splits(data_path, game_cfg):
+def _prepare_splits(data_path):
     """The standardized (train, val, test) splits of a table: every run
     splits with seed 0, its classes the table's labels in order of first
     appearance."""
-    dataset = load_table(data_path, feature_dim=game_cfg.feature_dim)
-    return standardize(*stratified_split(dataset, seed=0))
+    return standardize(*stratified_split(load_table(data_path), seed=0))
 
 
 def cmd_gen_data(args):
@@ -115,21 +121,22 @@ def cmd_gen_data(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_table(dataset, out)
-    echo = ["counts=%s" % ",".join(str(c) for c in counts),
-            "labels=%s" % ",".join(labels),
-            "delta=%r" % args.delta, "sigma=%r" % args.sigma,
-            "seed=%d" % args.seed, "feature_dim=%d" % args.feature_dim]
-    Path(str(out) + ".spec").write_text("\n".join(echo) + "\n",
-                                        encoding="utf-8")
+    _write_manifest(str(out) + ".spec", [("command", "gen-data")],
+                    {"counts": ",".join(str(c) for c in counts),
+                     "labels": args.labels, "delta": args.delta,
+                     "sigma": args.sigma, "seed": args.seed,
+                     "feature_dim": args.feature_dim})
     print("wrote %d records to %s" % (len(dataset), out))
     return 0
 
 
 def cmd_train(args):
     text = Path(args.config).read_text(encoding="utf-8")
-    game_cfg, train_cfg = resolve_configs(parse_config_text(text, args.config),
-                                          args.config)
-    train_split, val_split, _ = _prepare_splits(args.data, game_cfg)
+    kv = parse_config_text(text, args.config)
+    train_split, val_split, _ = _prepare_splits(args.data)
+    game_cfg, train_cfg = resolve_configs(
+        kv, args.config, n_concepts=len(train_split.concept_set),
+        feature_dim=train_split.features.shape[1])
     out = Path(args.out)  # train makes it once a resume is accepted
 
     def log(row):
@@ -141,9 +148,11 @@ def cmd_train(args):
                           checkpoint_path=out / "checkpoint.npz",
                           resume_from=args.resume, log=log)
     (out / "history.csv").write_text(history_csv(history), encoding="utf-8")
+    config = run_config(game_cfg, train_cfg)
+    # As comments, so a replay reads them off the table again.
+    shape = [("game." + k, config.pop("game." + k)) for k in TABLE_FIELDS]
     _write_manifest(out / "manifest.txt",
-                    [("command", "train"), ("data", args.data)],
-                    run_config(game_cfg, train_cfg))
+                    [("command", "train"), ("data", args.data)] + shape, config)
     print("best val accuracy: %.4f" % max(r["val_accuracy"] for r in history))
     return 0
 
@@ -155,7 +164,7 @@ def cmd_eval(args):
         raise ConfigError("--seed must be >= 0, got %d" % args.seed)
     state = load_checkpoint(args.checkpoint)
     game_cfg = state.game_cfg
-    splits = _prepare_splits(args.data, game_cfg)
+    splits = _prepare_splits(args.data)
     state.check_data(*splits[:2])
     split = splits[SPLIT_NAMES.index(args.split)]
     sender, receiver = state.best()

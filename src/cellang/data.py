@@ -92,8 +92,8 @@ def load_table(path, feature_dim=None):
     """Read a `label,f00,...` CSV into a Dataset.
 
     The concept set is the labels in order of first appearance; an empty
-    label is a DataError. With `feature_dim`, a table of another width is
-    a DataError too.
+    label, or a header with no feature column, is a DataError. With
+    `feature_dim`, a table of another width is a DataError too.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -104,6 +104,8 @@ def load_table(path, feature_dim=None):
         if not header or header[0] != "label":
             raise DataError("%s: first column must be 'label'" % path)
         n_feat = len(header) - 1
+        if n_feat == 0:
+            raise DataError("%s: no feature column after 'label'" % path)
         if header[1:] != _feature_columns(n_feat):
             raise DataError("%s: feature columns must be f00..f%02d"
                             % (path, n_feat - 1))

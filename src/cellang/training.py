@@ -17,15 +17,17 @@ from .errors import (CheckpointError, ConfigError, DataError, ParameterError,
                      TrainingError)
 from .game import RoundOutcome, play_round, sample_episode
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 # Adam's moment decay rates and denominator offset, Kingma & Ba's defaults.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # Rounds per training minibatch and per evaluation forward pass; it also
 # bounds sender-sees-all's (block, 20, 71) conv output.
 BATCH_ROUNDS = 32
+# Hard-symbol rounds of the validation pass that ends each epoch.
+VAL_ROUNDS = 200
 # Elements per pass of Adam.step: a chunk of its six vectors fits in L2.
 _ADAM_CHUNK = 16384
-HISTORY_HEADER = "epoch,train_loss,val_accuracy,temperature"
+HISTORY_HEADER = "epoch,train_loss,val_accuracy"
 # The config keys a resumed run may change: they only decide when it stops.
 RESUMABLE_KEYS = ("train.max_epochs", "train.early_stop_patience")
 
@@ -36,14 +38,13 @@ class TrainConfig(ConfigFields):
     episodes_per_epoch: int = None  # None -> size of the training split
     max_epochs: int = 200
     early_stop_patience: int = 20
-    eval_episodes: int = 200
     seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
         if self.learning_rate <= 0:
             raise ParameterError("learning_rate must be > 0")
-        for name in ("max_epochs", "early_stop_patience", "eval_episodes"):
+        for name in ("max_epochs", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ParameterError("%s must be >= 1" % name)
         if self.episodes_per_epoch is not None and self.episodes_per_epoch < 1:
@@ -152,8 +153,8 @@ def evaluate(sender, receiver, split, game_cfg, n_episodes, seed):
 def history_csv(history):
     lines = [HISTORY_HEADER]
     for row in history:
-        lines.append("%d,%r,%r,%r" % (row["epoch"], row["train_loss"],
-                                      row["val_accuracy"], row["temperature"]))
+        lines.append("%d,%r,%r" % (row["epoch"], row["train_loss"],
+                                   row["val_accuracy"]))
     return "\n".join(lines) + "\n"
 
 
@@ -201,18 +202,19 @@ def train(train_split, val_split, game_cfg, train_cfg,
 
     Plays minibatches of BATCH_ROUNDS rounds with relaxed symbols at
     `game_cfg.temperature`. Keeps the parameters with the best validation
-    accuracy (hard-symbol evaluation); stops at max_epochs or after
+    accuracy (VAL_ROUNDS hard-symbol rounds); stops at max_epochs or after
     early_stop_patience epochs without improvement, both read off the
     history, so resuming a finished run trains no epoch. Returns (best
     sender, best receiver, history).
-    A resumed run must keep the checkpoint's configuration, except for
-    RESUMABLE_KEYS, and its splits and their table (a DataError otherwise).
+    A resumed run must keep the checkpoint's splits and their table (checked
+    first: a DataError) and its configuration but RESUMABLE_KEYS.
     The checkpoint's directory is made only once the resume is accepted.
     A non-finite loss or gradient raises TrainingError; the checkpoint then
     still holds the last whole epoch.
     """
     if resume_from is not None:
         state = load_checkpoint(resume_from)
+        state.check_data(train_split, val_split)
         saved = run_config(state.game_cfg, state.train_cfg)
         changed = ["%s (checkpoint %s, config %s)" % (k, saved[k], v)
                    for k, v in run_config(game_cfg, train_cfg).items()
@@ -221,7 +223,6 @@ def train(train_split, val_split, game_cfg, train_cfg,
             raise ConfigError("resume may change only %s, not %s"
                               % (" and ".join(RESUMABLE_KEYS),
                                  "; ".join(changed)))
-        state.check_data(train_split, val_split)
         state.train_cfg = train_cfg
     else:
         state = TrainState(game_cfg, train_cfg,
@@ -248,11 +249,11 @@ def train(train_split, val_split, game_cfg, train_cfg,
             losses.append(outcome.loss)
             state.optimizer.step(grad_scale=1.0 / batch)
         val_outcomes = evaluate(state.sender, state.receiver, val_split, cfg,
-                                tcfg.eval_episodes, state.seeds["val_seed"])
+                                VAL_ROUNDS, state.seeds["val_seed"])
         val_acc = identification_accuracy(val_outcomes)
         row = {"epoch": epoch,
                "train_loss": float(np.concatenate(losses).mean()),
-               "val_accuracy": val_acc, "temperature": cfg.temperature}
+               "val_accuracy": val_acc}
         history.append(row)
         if log is not None:
             log(row)

@@ -374,16 +374,13 @@ def test_criterion_7_split_fidelity():
 
 TINY_CONFIG = """\
 game.variant=sender-sees-all
-game.n_concepts=3
 game.vocab_size=8
-game.feature_dim=6
 game.embed_dim=4
 game.conv_filters=3
 game.conv_width=2
 train.seed=0
 train.max_epochs=4
 train.episodes_per_epoch=60
-train.eval_episodes=40
 """
 
 

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellang import training
+from cellang import __version__, training
 from cellang.analysis import contingency
-from cellang.cli import (_KEYS, _SECTIONS, main, parse_config_text,
-                         resolve_configs)
+from cellang.cli import (_KEYS, _SECTIONS, TABLE_FIELDS, main,
+                         parse_config_text, resolve_configs)
 from cellang.data import load_table, save_table, stratified_split
 from cellang.errors import ConfigError
 from cellang.game import play_round
@@ -20,16 +20,13 @@ from cellang.game import play_round
 TINY_CONFIG = """\
 # tiny run for tests
 game.variant=sender-sees-all
-game.n_concepts=3
 game.vocab_size=8
-game.feature_dim=6
 game.embed_dim=4
 game.conv_filters=3
 game.conv_width=2
 train.seed=0
 train.max_epochs=2
 train.episodes_per_epoch=40
-train.eval_episodes=30
 """
 
 
@@ -86,7 +83,7 @@ class TestConfigParsing:
         assert main(["train", "--config", str(cfg),
                      "--data", str(tmp_path / "unread.csv"),
                      "--out", str(tmp_path / "o")]) == 1
-        assert "line 13: key 'train.seed' repeats line 9" in \
+        assert "line 10: key 'train.seed' repeats line 7" in \
             capsys.readouterr().err
 
     def test_readme_key_table_lists_every_key(self):
@@ -97,9 +94,12 @@ class TestConfigParsing:
             assert set(re.findall(r"`(\w+)`", keys)) == set(_KEYS[name]), name
             # Every numeric or None default is stated, as the first word in
             # the parentheses after its key, and is the dataclass's default.
+            # The fields read off the table are no keys.
             stated = dict(re.findall(r"`(\w+)` \(([\w.+-]+)", keys))
             for f in fields(_SECTIONS[name]):
-                if f.default is None:
+                if f.name in TABLE_FIELDS:
+                    assert f.name not in stated, (name, f.name)
+                elif f.default is None:
                     assert stated.get(f.name) == "none", (name, f.name)
                 elif type(f.default) in (int, float):
                     assert f.name in stated and \
@@ -121,7 +121,13 @@ class TestGenData:
         out = tmp_path / "full.csv"
         assert main(["gen-data", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 4126
-        assert (tmp_path / "full.csv.spec").exists()
+        # The sidecar is a record like a run manifest: version, command,
+        # then one line per generator setting.
+        assert (tmp_path / "full.csv.spec").read_text().splitlines() == [
+            "# cellang %s" % __version__, "# command=gen-data",
+            "counts=138,132,177,391,3287",
+            "labels=CD3,CD20,CD68,Claudin1,Negative", "delta=5.0",
+            "sigma=1.0", "seed=0", "feature_dim=28"]
 
     def test_same_seed_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -169,17 +175,25 @@ class TestTrain:
         assert (out / "checkpoint.npz").exists()
         assert (out / "manifest.txt").exists()
         history = (out / "history.csv").read_text().splitlines()
-        assert history[0] == "epoch,train_loss,val_accuracy,temperature"
+        assert history[0] == "epoch,train_loss,val_accuracy"
         assert len(history) == 3
 
     def test_manifest_reproduces_run(self, tiny_run):
+        # TINY_CONFIG names neither the class count nor the feature width:
+        # the run reads both off its 3-class, 6-feature table, and its
+        # manifest records them as comments, which a replay reads off the
+        # table again.
         tmp_path, data, _, out = tiny_run
+        manifest = (out / "manifest.txt").read_text()
+        assert "\n# game.n_concepts=3\n# game.feature_dim=6\n" in manifest
+        saved = training.load_checkpoint(out / "checkpoint.npz").game_cfg
+        assert (saved.n_concepts, saved.feature_dim) == (3, 6)
         out2 = tmp_path / "run2"
         assert main(["train", "--config", str(out / "manifest.txt"),
                      "--data", str(data), "--out", str(out2),
                      "--quiet"]) == 0
-        assert (out / "history.csv").read_bytes() == \
-            (out2 / "history.csv").read_bytes()
+        for name in ("history.csv", "manifest.txt"):
+            assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_missing_key_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -204,7 +218,12 @@ class TestTrain:
                     "data.split_seed=-1", "data.labels=a,b,c,a",
                     "data.labels=a,,b,c",
                     "train.init_seed=5", "data.standardize=true",
-                    "train.beta1=0.9", "train.temp_decay_epochs=0"):
+                    "train.beta1=0.9", "train.temp_decay_epochs=0",
+                    # ... and the keys for the class count and feature
+                    # width, which the table gives, even at its own values,
+                    # and for the number of validation rounds.
+                    "game.n_concepts=3", "game.feature_dim=6",
+                    "train.eval_episodes=200"):
             cfg.write_text(with_line(bad))
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(tmp_path / "o")]) == 1, bad
@@ -247,7 +266,7 @@ class TestTrain:
         # The default game: sender-sees-all's 1420 -> 100 output linear over
         # a 32-round minibatch is large enough for OpenBLAS to thread.
         config = ("game.variant=sender-sees-all\ntrain.max_epochs=2\n"
-                  "train.episodes_per_epoch=96\ntrain.eval_episodes=64\n")
+                  "train.episodes_per_epoch=96\n")
         (h1, a1), (h2, a2) = self.train_under_blas_threads(
             tmp_path, config, ["gen-data"])
         assert h1 == h2
@@ -257,7 +276,7 @@ class TestTrain:
         tmp_path, data, _, out = tiny_run
         before = {f.name: f.read_bytes() for f in out.iterdir()}
         cfg = tmp_path / "resume.cfg"
-        for changed in ("train.learning_rate=0.05", "train.eval_episodes=20"):
+        for changed in ("train.learning_rate=0.05", "game.temperature=1.0"):
             cfg.write_text(with_line(changed))
             assert main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(out), "--quiet",
@@ -411,7 +430,7 @@ class TestEval:
         report = (ev / "report.txt").read_text()
         assert "np." not in history and "np." not in report
         header, *rows = history.splitlines()
-        assert header == "epoch,train_loss,val_accuracy,temperature"
+        assert header == "epoch,train_loss,val_accuracy"
         assert len(rows) == 2
         for row in rows:
             epoch, *values = row.split(",")
@@ -435,18 +454,26 @@ class TestEval:
             assert "config error:" in capsys.readouterr().err
 
     def test_other_table_rejected(self, tiny_run, capsys):
+        # Other rows, a fourth class, or three more features. A resume
+        # checks the table before the configs, so a table of another shape,
+        # which gives another game config, is a data error too.
         tmp_path, _, cfg, out = tiny_run
-        other = tmp_path / "other.csv"
-        main(GEN_ARGS + ["--seed", "9", "--out", str(other)])
-        capsys.readouterr()
-        for argv in (["eval", "--checkpoint", str(out / "checkpoint.npz"),
-                      "--out", str(tmp_path / "ev")],
-                     ["train", "--config", str(cfg), "--quiet",
-                      "--resume", str(out / "checkpoint.npz"),
-                      "--out", str(tmp_path / "more")]):
-            assert main(argv + ["--data", str(other)]) == 2, argv[0]
-            assert "splits differ" in capsys.readouterr().err
-            assert not (tmp_path / "ev").exists()
+        for flags in (["--seed", "9"],
+                      ["--counts", "30,30,30,30", "--labels", "a,b,c,d"],
+                      ["--feature-dim", "9"]):
+            other = tmp_path / "other.csv"
+            assert main(GEN_ARGS + flags + ["--out", str(other)]) == 0
+            capsys.readouterr()
+            for argv in (["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                          "--out", str(tmp_path / "ev")],
+                         ["train", "--config", str(cfg), "--quiet",
+                          "--resume", str(out / "checkpoint.npz"),
+                          "--out", str(tmp_path / "more")]):
+                assert main(argv + ["--data", str(other)]) == 2, \
+                    (flags, argv[0])
+                assert "splits differ" in capsys.readouterr().err
+                assert not (tmp_path / "ev").exists()
+                assert not (tmp_path / "more").exists()
 
     def test_edited_test_row_rejected(self, tiny_run, capsys):
         # The fingerprint covers the whole table, so an edit to a row that

@@ -58,6 +58,14 @@ class TestLoadTable:
         with pytest.raises(DataError, match="label"):
             load_table(path)
 
+    def test_no_feature_column_rejected(self, tmp_path):
+        # Else it loads as an (N, 0) table, whose width of 0 `cellang train`
+        # would report as a config error.
+        path = tmp_path / "t.csv"
+        path.write_text("label\na\nb\n")
+        with pytest.raises(DataError, match="t.csv: no feature column"):
+            load_table(path)
+
     def test_feature_dim_mismatch(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("label,f00,f01\na,1.0,2.0\n")

@@ -8,7 +8,7 @@ from cellang import training
 from cellang.agents import GameConfig, init_params, named_params
 from cellang.analysis import build_report, identification_accuracy
 from cellang.autodiff import Tensor
-from cellang.cli import main
+from cellang.cli import TABLE_FIELDS, main
 from cellang.data import (SyntheticSpec, generate_synthetic, save_table,
                           standardize, stratified_split)
 from cellang.errors import (CheckpointError, ConfigError, DataError,
@@ -16,7 +16,7 @@ from cellang.errors import (CheckpointError, ConfigError, DataError,
 from cellang.game import play_round, sample_episode
 from cellang.training import (_ADAM_CHUNK, ADAM_BETA1, ADAM_BETA2,
                               ADAM_EPSILON, BATCH_ROUNDS, Adam, TrainConfig,
-                              TrainState, evaluate, history_csv,
+                              VAL_ROUNDS, TrainState, evaluate, history_csv,
                               load_checkpoint, save_checkpoint, train)
 
 
@@ -62,7 +62,8 @@ def cli_exit_codes(checkpoint, cfg, tmp_path):
     data, config = tmp_path / "cells.csv", tmp_path / "run.cfg"
     save_table(tiny_table(cfg), data)
     config.write_text("".join("game.%s=%s\n" % kv
-                              for kv in cfg.to_dict().items()))
+                              for kv in cfg.to_dict().items()
+                              if kv[0] not in TABLE_FIELDS))
     return (main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
                   "--out", str(tmp_path / "ev")]),
             main(["train", "--config", str(config), "--data", str(data),
@@ -71,8 +72,8 @@ def cli_exit_codes(checkpoint, cfg, tmp_path):
 
 
 def tiny_train_cfg(**overrides):
-    base = dict(max_epochs=3, episodes_per_epoch=60, eval_episodes=50,
-                early_stop_patience=10, seed=0)
+    base = dict(max_epochs=3, episodes_per_epoch=60, early_stop_patience=10,
+                seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -277,7 +278,7 @@ class TestTrainLoop:
         sender, receiver, history = train(train_s, val_s, cfg, tcfg)
         best = max(row["val_accuracy"] for row in history)
         acc = identification_accuracy(evaluate(
-            sender, receiver, val_s, cfg, tcfg.eval_episodes,
+            sender, receiver, val_s, cfg, VAL_ROUNDS,
             tcfg.resolved_seeds()["val_seed"]))
         assert acc == best
 
@@ -403,7 +404,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key", ["game_cfg.vocab_size",
                                      "game_cfg.variant",
-                                     "train_cfg.eval_episodes"])
+                                     "train_cfg.learning_rate"])
     def test_missing_meta_key_rejected(self, one_epoch_checkpoint, key):
         def drop_key(meta, arrays):
             *parents, name = key.split(".")
@@ -456,7 +457,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("section, key, value", [
         ("train", "learning_rate", 0.05), ("game", "vocab_size", 20),
-        ("train", "seed", 7), ("train", "eval_episodes", 40),
+        ("train", "seed", 7),
     ])
     def test_resume_refuses_changed_config(self, tiny_setup,
                                            one_epoch_checkpoint,
@@ -500,10 +501,10 @@ class TestCheckpoint:
         lambda rows: rows[0].update(epoch=1),
         lambda rows: rows[0].update(epoch=0.0),
         lambda rows: rows[0].update(train_loss="0.5"),
-        lambda rows: rows[0].update(temperature=None),
+        lambda rows: rows[0].update(train_loss=None),
         lambda rows: rows[0].update(val_accuracy=float("nan")),
         lambda rows: rows[0].update(extra=1.0),
-        lambda rows: rows.append([1, 0.5, 0.5, 1.0]),
+        lambda rows: rows.append([1, 0.5, 0.5]),
         lambda rows: rows.__setitem__(0, {}),
         lambda rows: {"0": rows[0]},
     ], ids=["missing-key", "wrong-epoch", "float-epoch", "string-value",
@@ -529,9 +530,11 @@ class TestCheckpoint:
         # and a temperature schedule as TrainConfig fields; version 4, whose
         # saved episode stream state fed the per-episode draw; version 5,
         # whose progress counters could disagree with its history and whose
-        # fingerprint left out the test split; and version 6, the last to
-        # hold a data config (split seed and labels).
-        for version in (1, 3, 4, 5, 6):
+        # fingerprint left out the test split; version 6, the last to hold a
+        # data config (split seed and labels); and version 7, whose history
+        # rows held the temperature and whose TrainConfig held the number of
+        # validation rounds.
+        for version in (1, 3, 4, 5, 6, 7):
             rewrite_checkpoint(one_epoch_checkpoint, lambda meta, arrays:
                                meta.update(version=version, data_cfg={
                                    "split_seed": 0, "labels": []}))
@@ -565,7 +568,7 @@ class TestCheckpoint:
 class TestConfigRanges:
     @pytest.mark.parametrize("field, value", [
         ("episodes_per_epoch", 0), ("max_epochs", 0), ("max_epochs", -3),
-        ("early_stop_patience", 0), ("eval_episodes", 0),
+        ("early_stop_patience", 0),
         ("learning_rate", -1e-3), ("learning_rate", float("nan")),
         ("learning_rate", float("inf")), ("max_epochs", float("inf")),
         ("seed", -1),
@@ -575,8 +578,7 @@ class TestConfigRanges:
             TrainConfig(**{field: value})
 
     def test_boundary_values_accepted(self):
-        TrainConfig(episodes_per_epoch=1, max_epochs=1, early_stop_patience=1,
-                    eval_episodes=1)
+        TrainConfig(episodes_per_epoch=1, max_epochs=1, early_stop_patience=1)
 
 
 class TestSeeds:
