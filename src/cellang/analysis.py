@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError
 
 
 @dataclass
@@ -134,22 +134,3 @@ def export_symbol_distribution(outcomes, path, labels, vocab_size):
             writer.writerow([label] + row)
     return table
 
-
-def load_symbol_distribution(path, labels, vocab_size):
-    """Rebuild a ContingencyTable from a long-form export; DataError names
-    the first line that is not a known class and a symbol in
-    [0, vocab_size) as the export writes them."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]
-    if header != ["class", "symbol_index"]:
-        raise DataError("%s: the header must be class,symbol_index" % path)
-    index = {c: i for i, c in enumerate(labels)}
-    symbols = {str(s): s for s in range(vocab_size)}
-    for line, row in enumerate(rows, start=2):
-        if len(row) != 2 or row[0] not in index or row[1] not in symbols:
-            raise DataError("%s line %d: expected class,symbol_index with a "
-                            "class in %s and a symbol in [0, %d), got %r"
-                            % (path, line, list(labels), vocab_size,
-                               ",".join(row)))
-    return contingency([index[c] for c, _ in rows],
-                       [symbols[s] for _, s in rows], labels, vocab_size)

@@ -79,8 +79,6 @@ def backward(tape, loss):
         if g is None:
             continue
         for tensor, gi in zip(inputs, backward_fn(g)):
-            if gi is None:
-                continue
             if tensor.grad is None:
                 # Backward rules return fresh arrays (or views of the
                 # released g), so the first one can be kept as it is.

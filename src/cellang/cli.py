@@ -131,7 +131,10 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    text = Path(args.config).read_text(encoding="utf-8")
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read config %s: %s" % (args.config, exc))
     kv = parse_config_text(text, args.config)
     train_split, val_split, _ = _prepare_splits(args.data)
     game_cfg, train_cfg = resolve_configs(

@@ -88,15 +88,25 @@ def _feature_columns(n):
     return ["f%02d" % i for i in range(n)]
 
 
+def _csv_rows(fh, path):
+    """The rows of `fh`, read one at a time; bytes that are not UTF-8 are a
+    DataError that names the file."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError("%s: not UTF-8 text: %s" % (path, exc))
+
+
 def load_table(path, feature_dim=None):
     """Read a `label,f00,...` CSV into a Dataset.
 
     The concept set is the labels in order of first appearance; an empty
-    label, or a header with no feature column, is a DataError. With
-    `feature_dim`, a table of another width is a DataError too.
+    label, a header with no feature column, or bytes that are not UTF-8,
+    is a DataError. With `feature_dim`, a table of another width is a
+    DataError too.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -347,10 +347,16 @@ def _checked_history(history):
 def _restore_state(meta, arrays):
     """TrainState built from the checkpoint's configs, then overwritten with
     its saved values; KeyError names a key that meta or arrays lack."""
+    data_fp, step = meta["data_fingerprint"], meta["adam_step"]
+    if not isinstance(data_fp, str):
+        raise ValueError("data_fingerprint is not a string: %r" % (data_fp,))
     state = TrainState(GameConfig.from_dict(meta["game_cfg"]),
-                       TrainConfig.from_dict(meta["train_cfg"]),
-                       meta["data_fingerprint"])
+                       TrainConfig.from_dict(meta["train_cfg"]), data_fp)
     state.history = _checked_history(meta["history"])
+    # Every finished epoch took at least one Adam step.
+    if type(step) is not int or step < len(state.history):
+        raise ValueError("adam_step must be an integer >= %d, the epochs run; "
+                         "got %r" % (len(state.history), step))
     if state.history:  # saved once there is a best epoch
         state.best_theta = np.empty_like(state.optimizer.theta)
     for k, live in _checkpoint_arrays(state).items():
@@ -358,7 +364,7 @@ def _restore_state(meta, arrays):
             raise ValueError("array %s has shape %s, expected %s"
                              % (k, arrays[k].shape, live.shape))
         live[...] = arrays[k]
-    state.optimizer.step_count = meta["adam_step"]
+    state.optimizer.step_count = step
     state.episode_rng.bit_generator.state = meta["episode_rng"]
     state.gumbel_rng.bit_generator.state = meta["gumbel_rng"]
     return state

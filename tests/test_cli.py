@@ -370,6 +370,22 @@ class TestTrain:
         assert "distinct and non-empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [
+        None, (TINY_CONFIG + "# Négatif\n").encode("latin-1")],
+        ids=["missing", "latin-1"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, content):
+        # A config problem is exit 1, whatever is wrong with the file.
+        data = tmp_path / "d.csv"
+        main(GEN_ARGS + ["--out", str(data)])
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert "cannot read config %s" % cfg in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CONFIG)
@@ -488,6 +504,21 @@ class TestEval:
                      "--data", str(data), "--split", "test",
                      "--out", str(tmp_path / "ev")]) == 2
         assert "another table" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_non_utf8_table_exit_code(self, tiny_run, capsys):
+        tmp_path, data, cfg, out = tiny_run
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(data.read_text().replace("\na,", "\nNégatif,", 1)
+                        .encode("latin-1"))
+        capsys.readouterr()
+        for argv in (["train", "--config", str(cfg),
+                      "--out", str(tmp_path / "more")],
+                     ["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                      "--out", str(tmp_path / "ev")]):
+            assert main(argv + ["--data", str(bad)]) == 2, argv[0]
+            assert "latin1.csv: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "more").exists()
         assert not (tmp_path / "ev").exists()
 
     def test_dimension_mismatch_rejected(self, tiny_run, tmp_path):

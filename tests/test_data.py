@@ -66,6 +66,12 @@ class TestLoadTable:
         with pytest.raises(DataError, match="t.csv: no feature column"):
             load_table(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("label,f00\na,1.0\nNégatif,2.0\n".encode("latin-1"))
+        with pytest.raises(DataError, match="t.csv: not UTF-8"):
+            load_table(path)
+
     def test_feature_dim_mismatch(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("label,f00,f01\na,1.0,2.0\n")

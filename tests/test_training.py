@@ -416,10 +416,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=key.split(".")[-1]):
             load_checkpoint(one_epoch_checkpoint)
 
-    # The last: a field a version-3 checkpoint could hold, deleted since.
+    # train_cfg.temp_decay_epochs: a field a version-3 checkpoint could hold,
+    # deleted since. The one-epoch run took at least one Adam step.
     @pytest.mark.parametrize("key, value", [("game_cfg.vocab_size", "10"),
                                             ("game_cfg", []),
-                                            ("train_cfg.temp_decay_epochs", 4)])
+                                            ("train_cfg.temp_decay_epochs", 4),
+                                            ("adam_step", "2"),
+                                            ("adam_step", None),
+                                            ("adam_step", 2.5),
+                                            ("adam_step", True),
+                                            ("adam_step", 0),
+                                            ("adam_step", -1),
+                                            ("data_fingerprint", 7)])
     def test_wrongly_typed_meta_value_rejected(self, one_epoch_checkpoint,
                                                tmp_path, key, value):
         def set_value(meta, arrays):
