@@ -11,6 +11,7 @@ batch axis, so a minibatch of rounds is one forward pass.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,11 +28,22 @@ class Variant(enum.Enum):
 
 class ConfigFields:
     """`to_dict`/`from_dict` over a config dataclass's fields, which must
-    all be finite; `from_dict` requires every field and no other key."""
+    all be finite and of their declared type: an `int` field holds an
+    integer (None too where that is its default) and no bool, a `float`
+    field no bool. `from_dict` requires every field and no other key."""
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            unset = value is None and f.default is None
+            if f.type is int and not unset and (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ParameterError("%s must be an integer, got %r"
+                                     % (f.name, value))
+            if f.type is float and isinstance(value, bool):
+                raise ParameterError("%s must be a number, got %r"
+                                     % (f.name, value))
             if isinstance(value, float) and not math.isfinite(value):
                 raise ParameterError("%s must be finite" % f.name)
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -89,57 +90,120 @@ def _feature_columns(n):
 
 
 def _csv_rows(fh, path):
-    """The rows of `fh`, read one at a time; bytes that are not UTF-8 are a
-    DataError that names the file."""
+    """The rows of `fh`, read one at a time; bytes that are not UTF-8, or a
+    field longer than `csv.field_size_limit()`, are a DataError that names
+    the file."""
+    reader = csv.reader(fh)
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except UnicodeDecodeError as exc:
         raise DataError("%s: not UTF-8 text: %s" % (path, exc))
+    except csv.Error as exc:
+        raise DataError("%s: line %d: %s" % (path, reader.line_num, exc))
 
 
 def load_table(path, feature_dim=None):
     """Read a `label,f00,...` CSV into a Dataset.
 
     The concept set is the labels in order of first appearance; an empty
-    label, a header with no feature column, or bytes that are not UTF-8,
-    is a DataError. With `feature_dim`, a table of another width is a
-    DataError too.
+    label, a header with no feature column, a field longer than
+    `csv.field_size_limit()`, or bytes that are not UTF-8, is a DataError.
+    With `feature_dim`, a table of another width is a DataError too.
+
+    The rows are parsed in bulk by numpy's C reader (`_load_bulk`). A table
+    it refuses, and a file that cannot be read twice (a pipe), go through
+    the row loop (`_load_rows`), which accepts the same tables, gives the
+    same bits and names the bad row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("%s: empty file" % path)
-        if not header or header[0] != "label":
-            raise DataError("%s: first column must be 'label'" % path)
-        n_feat = len(header) - 1
-        if n_feat == 0:
-            raise DataError("%s: no feature column after 'label'" % path)
-        if header[1:] != _feature_columns(n_feat):
-            raise DataError("%s: feature columns must be f00..f%02d"
-                            % (path, n_feat - 1))
-        if feature_dim is not None and n_feat != feature_dim:
-            raise DataError("%s: expected %d features, file has %d"
-                            % (path, feature_dim, n_feat))
-        values, labels, seen = array("d"), [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_feat + 1:
-                raise DataError("%s: row %d has %d columns, expected %d"
-                                % (path, lineno, len(row), n_feat + 1))
-            label = row[0]
+        if fh.seekable():
             try:
-                feats = [float(v) for v in row[1:]]
-            except ValueError:
-                raise DataError("%s: row %d has a non-numeric feature"
-                                % (path, lineno))
-            if not all(math.isfinite(v) for v in feats):
-                raise DataError("%s: row %d has a non-finite feature"
-                                % (path, lineno))
-            if label not in seen:
-                seen.append(label)
-            values.extend(feats)
-            labels.append(label)
+                return _load_bulk(fh, path, feature_dim)
+            except Exception:  # refused in bulk: the row loop decides
+                fh.seek(0)
+        return _load_rows(fh, path, feature_dim)
+
+
+def _header_width(rows, path, feature_dim):
+    """The feature count of the header, the first of `rows`; a DataError
+    for a missing or malformed header."""
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise DataError("%s: empty file" % path)
+    if not header or header[0] != "label":
+        raise DataError("%s: first column must be 'label'" % path)
+    n_feat = len(header) - 1
+    if n_feat == 0:
+        raise DataError("%s: no feature column after 'label'" % path)
+    if header[1:] != _feature_columns(n_feat):
+        raise DataError("%s: feature columns must be f00..f%02d"
+                        % (path, n_feat - 1))
+    if feature_dim is not None and n_feat != feature_dim:
+        raise DataError("%s: expected %d features, file has %d"
+                        % (path, feature_dim, n_feat))
+    return n_feat
+
+
+def _load_bulk(fh, path, feature_dim):
+    """The table from one np.loadtxt call over the rows after the header,
+    with each label mapped to its code in order of first appearance; raises
+    on any table the row loop might read otherwise."""
+    limit = csv.field_size_limit()
+    codes, n_lines = {}, 0
+
+    def lines():
+        """The lines of `fh`, counted; refuses one longer than the csv field
+        limit, or one holding a character that numpy strips from a number as
+        whitespace and float() refuses (U+001C to U+001F)."""
+        nonlocal n_lines
+        for line in fh:
+            if (len(line) > limit or "\x1c" in line or "\x1d" in line
+                    or "\x1e" in line or "\x1f" in line):
+                raise ValueError("line left to the row loop")
+            n_lines += 1
+            yield line
+
+    n_feat = _header_width(_csv_rows(fh, path), path, feature_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # say, loadtxt's "no data"
+        table = np.loadtxt(
+            lines(), delimiter=",", comments=None, quotechar='"', ndmin=2,
+            converters={0: lambda s: codes.setdefault(s, len(codes))})
+    # A row per line: numpy skips a blank line, which the row loop refuses,
+    # and a record that spans lines could hold a field over the csv limit.
+    if table.shape != (n_lines, n_feat + 1) or not np.isfinite(table).all():
+        raise ValueError("table left to the row loop")
+    seen = list(codes)
+    _check_labels(seen)
+    labels = np.array(seen, dtype=str)[table[:, 0].astype(np.intp)]
+    return Dataset(np.ascontiguousarray(table[:, 1:]), labels, seen)
+
+
+def _load_rows(fh, path, feature_dim=None):
+    """load_table's row loop over the open table `fh`: csv.reader and
+    float() on every value; the only source of the row-numbered
+    DataErrors."""
+    reader = _csv_rows(fh, path)
+    n_feat = _header_width(reader, path, feature_dim)
+    values, labels, seen = array("d"), [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != n_feat + 1:
+            raise DataError("%s: row %d has %d columns, expected %d"
+                            % (path, lineno, len(row), n_feat + 1))
+        label = row[0]
+        try:
+            feats = [float(v) for v in row[1:]]
+        except ValueError:
+            raise DataError("%s: row %d has a non-numeric feature"
+                            % (path, lineno))
+        if not all(math.isfinite(v) for v in feats):
+            raise DataError("%s: row %d has a non-finite feature"
+                            % (path, lineno))
+        if label not in seen:
+            seen.append(label)
+        values.extend(feats)
+        labels.append(label)
     _check_labels(seen)
     features = np.array(values, dtype=np.float64).reshape(len(labels), n_feat)
     return Dataset(features, np.array(labels, dtype=str), seen)

@@ -324,7 +324,8 @@ def load_checkpoint(path):
         return _restore_state(meta, arrays)
     except KeyError as exc:
         raise CheckpointError("checkpoint %s is missing %s" % (path, exc))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a generator state numpy cannot hold, say inc = -1.
         raise CheckpointError("checkpoint %s is invalid: %s" % (path, exc))
 
 

@@ -1,7 +1,28 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cellang import GameConfig
+
+# Every property test draws the same examples on every run and keeps no
+# example database on disk.
+settings.register_profile("cellang", derandomize=True, database=None)
+settings.load_profile("cellang")
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from the project's
+    # source in its storage directory; keep that out of the working tree.
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 # Verdict lines recorded by tests/test_acceptance.py; echoed after the run

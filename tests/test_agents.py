@@ -49,6 +49,16 @@ class TestGameConfig:
         with pytest.raises(ParameterError, match="temperature"):
             GameConfig(temperature=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", True), ("vocab_size", 100.0), ("embed_dim", "15"),
+        ("temperature", True)])
+    def test_mistyped_value_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            GameConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert GameConfig(vocab_size=np.int64(8)).vocab_size == 8
+
 
 class TestInitParams:
     def test_same_seed_bit_identical(self, small_cfg):

@@ -521,6 +521,22 @@ class TestEval:
         assert not (tmp_path / "more").exists()
         assert not (tmp_path / "ev").exists()
 
+    def test_field_over_csv_limit_exit_code(self, tiny_run, capsys):
+        # A 200,000-character label passes csv's 131,072 field limit.
+        tmp_path, data, cfg, out = tiny_run
+        big = tmp_path / "big.csv"
+        big.write_text(data.read_text().replace("\na,", "\n%s," % ("a" * 200000),
+                                                1))
+        capsys.readouterr()
+        for argv in (["train", "--config", str(cfg),
+                      "--out", str(tmp_path / "more")],
+                     ["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                      "--out", str(tmp_path / "ev")]):
+            assert main(argv + ["--data", str(big)]) == 2, argv[0]
+            assert "big.csv: line 2: field larger" in capsys.readouterr().err
+        assert not (tmp_path / "more").exists()
+        assert not (tmp_path / "ev").exists()
+
     def test_dimension_mismatch_rejected(self, tiny_run, tmp_path):
         _, _, _, out = tiny_run
         other = tmp_path / "other.csv"

@@ -1,9 +1,16 @@
+import csv
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cellang import data
+from cellang.cli import main
 from cellang.data import (DEFAULT_COUNTS, DEFAULT_LABELS, SPLIT_FRACTIONS,
                           Dataset, SyntheticSpec, generate_synthetic,
                           load_table, save_table, standardize,
@@ -22,6 +29,125 @@ def index_dataset(counts):
     labels = ["c%d" % i for i in range(len(counts))]
     return Dataset(np.arange(sum(counts), dtype=np.float64)[:, None],
                    np.repeat(np.array(labels), counts), labels)
+
+
+# Field texts where numpy's C reader and the row loop (csv.reader and
+# float()) could part: numbers float() reads and numpy does not, or the
+# other way round, non-finite and extreme values, whitespace, and the
+# characters csv treats specially.
+ODD_FEATURES = ["1_0", "\uff11", " 1 ", "\t2\t", "1\u3000", "1e500", "-inf",
+                "nan", "", "5e-324", "2.2250738585072011e-308",
+                "0." + "1234567890" * 5 + "12345", "0x10", "1 2", "+.5",
+                "-0.0", "#1", "\x1c1", "1\x1d", "\x1e1", "1\x1f", "1\x0b",
+                "1e", "infinity"]
+
+
+def _quoted(field):
+    return '"%s"' % field.replace('"', '""')
+
+
+@st.composite
+def table_texts(draw, per_class=0):
+    """The text of a `label,f00,...` table: in half the draws well formed,
+    with finite numbers, quoted and unquoted fields and three line endings;
+    in the other half, about one field in six is odd (a label with csv's
+    special characters, a feature from ODD_FEATURES, a non-finite number or
+    loose text) and one row in ten blank, short or long. With `per_class`,
+    that many well-formed rows each of classes a and b come first."""
+    n_feat = draw(st.integers(1, 3))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    odd = draw(st.booleans())
+    label = st.sampled_from(["a", "b", "CD3"])
+    odd_label = st.text('ab,"\r\n #\x1c\u00e9', max_size=4)
+    feature = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    odd_feature = st.one_of(st.floats().map(repr), st.sampled_from(ODD_FEATURES),
+                            st.text("0123456789.e+- ", min_size=1, max_size=6))
+
+    def field(usual, unusual):
+        return draw(unusual if odd and draw(st.integers(0, 5)) == 0
+                    else usual)
+
+    lines = [",".join(["label"] + ["f%02d" % i for i in range(n_feat)])]
+    lines += [",".join([c] + ["%d.5" % i] * n_feat)
+              for i in range(per_class) for c in "ab"]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9)) if odd else 3
+        if kind == 0:
+            lines.append("")
+            continue
+        width = n_feat + (kind == 1) - (kind == 2)
+        fields = [field(label, odd_label)] + [field(feature, odd_feature)
+                                              for _ in range(width)]
+        lines.append(",".join(_quoted(f) if draw(st.booleans()) else f
+                              for f in fields))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(read, path):
+    """What `read(path)` gives: a DataError's message, or the table's
+    feature bits, dtype and order, labels with their dtype, and concepts."""
+    try:
+        ds = read(path)
+    except DataError as exc:
+        return str(exc)
+    return (ds.features.shape, ds.features.dtype, ds.features.tobytes(),
+            ds.features.flags.c_contiguous, ds.labels.dtype,
+            ds.labels.tolist(), ds.concept_set)
+
+
+def _read_rows(path):
+    """The table through load_table's row loop alone."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return data._load_rows(fh, path)
+
+
+def _bulk_outcome(path):
+    """_load_bulk's table as _outcome gives it, or None where it refuses
+    the table and load_table leaves it to the row loop."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _outcome(lambda _: data._load_bulk(fh, path, None), path)
+    except Exception:
+        return None
+
+
+def _write_table(path, text, encoding):
+    path.write_bytes(text.encode(encoding, errors="replace"))
+
+
+def _check_same_as_row_loop(text, encoding, field_limit):
+    """load_table gives the row loop's table or its DataError message for
+    `text`, read under `field_limit` as the csv field limit; so does the bulk
+    path, where it accepts the table."""
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            _write_table(path, text, encoding)
+            rows = _outcome(_read_rows, path)
+            assert _outcome(load_table, path) == rows
+            assert _bulk_outcome(path) in (None, rows)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+# (text, encoding, csv field limit): blank lines, line endings, quoting,
+# widths and each of ODD_FEATURES in an otherwise good table, one at a
+# time; then fields that span lines or pass a small field limit.
+EDGE_TABLES = [(t, "utf-8", 131072) for t in [
+    "label,f00\na,1.0\n\nb,2.0\n", "label,f00\na,1.0\n\n",
+    "label,f00\r\na,1.0\r\nb,2.0\r\n", "label,f00\ra,1.0\rb,2.0\r",
+    'label,f00\n"a,b",1.0\n"a""b",2.0\n"a\nb",3.0\n"a\r\nb",4.0\n',
+    'label,f00\n"a\n\nb",1.0\n', 'label,f00\na"b,1.0\n"a"b,2.0\n',
+    "label,f00\n#a,1.0\n", "label,f00\n", "label,f00\na,1.0,2.0\n",
+    "label,f00,f01\na,1.0\n", "label,f00\na,1.0\n,2.0\n",
+    "label,f00\na,1.0\n   \n"] + [
+    "label,f00\na,1.0\nb,%s\n" % f for f in ODD_FEATURES]] + [
+    ("label,f00\nN\u00e9gatif,1.0\n", "latin-1", 131072),
+    ('label,f00\n"%s\n%s",1.0\n' % ("x" * 20, "x" * 20), "utf-8", 24),
+    ('label,f00\na,"1.0%s\n"\n' % (" " * 20), "utf-8", 24),
+    ("label,f00\n%s,1.0\n" % ("a" * 25), "utf-8", 24),
+    ("label,f00\n%s,1.0\n" % ("a" * 24), "utf-8", 24)]
 
 
 class TestLoadTable:
@@ -85,6 +211,64 @@ class TestLoadTable:
         back = load_table(path)
         assert np.array_equal(ds.labels, back.labels)
         assert np.array_equal(ds.features, back.features)
+
+    def test_field_over_csv_limit_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("label,f00\n%s,1.0\n" % ("a" * 200000))
+        with pytest.raises(DataError, match="big.csv: line 2: field larger"):
+            load_table(path)
+
+    @pytest.mark.parametrize("rows, error", [
+        ("a,1.0\nb,2.5\n", None), ("a,1.0\nb,oops\n", "row 3 has a non-numeric")])
+    def test_pipe_read_once(self, rows, error):
+        # A pipe cannot be read twice, so it goes through the row loop alone.
+        read_end, write_end = os.pipe()
+        os.write(write_end, ("label,f00\n" + rows).encode("utf-8"))
+        os.close(write_end)
+        try:
+            path = "/dev/fd/%d" % read_end
+            if error is None:
+                ds = load_table(path)
+                assert ds.features.tolist() == [[1.0], [2.5]]
+            else:
+                with pytest.raises(DataError, match=error):
+                    load_table(path)
+        finally:
+            os.close(read_end)
+
+    def test_default_table_read_in_bulk(self, tmp_path):
+        # The generated table takes the bulk path, with the row loop's bits.
+        path = tmp_path / "cells.csv"
+        save_table(generate_synthetic(SyntheticSpec()), path)
+        bulk = _bulk_outcome(path)
+        assert bulk is not None
+        assert bulk == _outcome(load_table, path)
+        assert bulk == _outcome(_read_rows, path)
+
+    @pytest.mark.parametrize("text, encoding, field_limit", EDGE_TABLES)
+    def test_edge_table_same_as_row_loop(self, text, encoding, field_limit):
+        _check_same_as_row_loop(text, encoding, field_limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_texts(), st.sampled_from(["utf-8", "utf-8", "latin-1"]),
+           st.sampled_from([131072, 24]))
+    def test_same_as_row_loop(self, text, encoding, field_limit):
+        _check_same_as_row_loop(text, encoding, field_limit)
+
+    @settings(max_examples=40, deadline=None)
+    @given(table_texts(per_class=8), st.sampled_from(["utf-8", "latin-1"]))
+    def test_cli_exit_code(self, text, encoding):
+        # The eight rows of each of two classes let some tables train.
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            _write_table(tmp / "t.csv", text, encoding)
+            (tmp / "run.cfg").write_text(
+                "game.variant=sender-sees-all\ngame.vocab_size=8\n"
+                "game.embed_dim=4\ngame.conv_filters=3\ngame.conv_width=2\n"
+                "train.max_epochs=1\ntrain.episodes_per_epoch=4\n")
+            assert main(["train", "--config", str(tmp / "run.cfg"),
+                         "--data", str(tmp / "t.csv"), "--out",
+                         str(tmp / "run"), "--quiet"]) in (0, 2)
 
 
 class TestStratifiedSplit:

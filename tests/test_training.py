@@ -443,6 +443,30 @@ class TestCheckpoint:
                      "--data", str(tmp_path / "unread.csv"),
                      "--out", str(tmp_path / "ev")]) == 3
 
+    # Generator states numpy cannot hold (an OverflowError inside numpy)
+    # and config values of the wrong type are refused by both commands.
+    @pytest.mark.parametrize("key, value", [
+        ("episode_rng.state.inc", -1), ("gumbel_rng.uinteger", -1),
+        ("gumbel_rng.has_uint32", 1e300), ("episode_rng.state.state", 2**128),
+        ("train_cfg.max_epochs", 2.5), ("train_cfg.learning_rate", True),
+        ("train_cfg.episodes_per_epoch", 60.0), ("game_cfg.vocab_size", True),
+        ("train_cfg.seed", None)])
+    def test_bad_meta_value_exit_code(self, small_cfg, one_epoch_checkpoint,
+                                      tmp_path, key, value):
+        def set_value(meta, arrays):
+            *parents, name = key.split(".")
+            for parent in parents:
+                meta = meta[parent]
+            assert name in meta
+            meta[name] = value
+
+        rewrite_checkpoint(one_epoch_checkpoint, set_value)
+        with pytest.raises(CheckpointError, match="invalid"):
+            load_checkpoint(one_epoch_checkpoint)
+        eval_code, resume_code = cli_exit_codes(one_epoch_checkpoint,
+                                                small_cfg, tmp_path)
+        assert eval_code == 3 and resume_code in (1, 3)
+
     def test_wrong_shape_array_rejected(self, one_epoch_checkpoint):
         def trim_column(meta, arrays):
             key = "cur/sender.out_weight"
@@ -585,8 +609,18 @@ class TestConfigRanges:
         with pytest.raises(ParameterError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 2.5), ("max_epochs", True), ("max_epochs", None),
+        ("episodes_per_epoch", 2.0), ("episodes_per_epoch", False),
+        ("seed", "1"), ("learning_rate", True)])
+    def test_mistyped_value_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            TrainConfig(**{field: value})
+
     def test_boundary_values_accepted(self):
         TrainConfig(episodes_per_epoch=1, max_epochs=1, early_stop_patience=1)
+        TrainConfig(episodes_per_epoch=None, max_epochs=np.int32(1),
+                    seed=np.uint64(2), learning_rate=1)
 
 
 class TestSeeds:
